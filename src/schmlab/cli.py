@@ -28,7 +28,7 @@ EXIT_NUMERIC = 3
 
 
 def _tolerances(args) -> tuple[RankTolerance, dict]:
-    tol = RankTolerance(rel_cutoff=args.tol) if args.tol else RankTolerance()
+    tol = RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
     snapshot = {
         "rank_rel_cutoff": tol.rel_cutoff,
         "psd_floor": -1e-9,
@@ -194,6 +194,8 @@ def cmd_sweep(args) -> int:
             samples=max(20, EFFORT_BUDGETS[args.effort] // 10), seed=args.seed,
             tol=tol)
     elif args.recipe == "isotropic":
+        if not args.f_step > 0:
+            raise ValidationError(f"--f-step must be positive, got {args.f_step}")
         rows = []
         f = args.f_min
         while f <= args.f_max + 1e-12:

@@ -2,11 +2,11 @@
 
 State files (JSON): ``{"dimA", "dimB", "kind": "pure"|"mixed", "data"}``
 with ``data`` a flat row-major list of ``[re, im]`` pairs.  Binary
-alternative: 16-byte header (8-byte magic ``SCHMLAB1``, u32 dimA, u32
-dimB, u8 kind, 3 pad bytes), then little-endian float64 interleaved
-re/im.  Channel files (JSON): ``{"dim_in", "dim_out", "kraus": [...]}``
-with each Kraus operator in the same pair encoding, or
-``{"choi": ..., "dims": [dim_out, dim_in]}``.
+alternative: 17-byte header (8-byte magic ``SCHMLAB1``, then
+little-endian u32 dimA, u32 dimB, u8 kind, with no padding), then
+little-endian float64 interleaved re/im.  Channel files (JSON):
+``{"dim_in", "dim_out", "kraus": [...]}`` with each Kraus operator in the
+same pair encoding, or ``{"choi": ..., "dims": [dim_out, dim_in]}``.
 
 Unknown JSON keys are ignored on load, so builders may embed provenance.
 """
@@ -58,8 +58,7 @@ def _require(obj: dict, field: str):
     return obj[field]
 
 
-def _positive_int(obj: dict, field: str) -> int:
-    value = _require(obj, field)
+def _positive_int(value, field: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValidationError(f"field '{field}' must be a positive integer, got {value!r}")
     return value
@@ -82,7 +81,8 @@ def state_to_dict(state: State, provenance: dict | None = None) -> dict:
 
 
 def state_from_dict(doc: dict) -> State:
-    dims = BipartiteDims(_positive_int(doc, "dimA"), _positive_int(doc, "dimB"))
+    dims = BipartiteDims(_positive_int(_require(doc, "dimA"), "dimA"),
+                         _positive_int(_require(doc, "dimB"), "dimB"))
     kind = _require(doc, "kind")
     if kind == "pure":
         amp = pairs_to_complex(_require(doc, "data"), dims.total, "data")
@@ -93,9 +93,20 @@ def state_from_dict(doc: dict) -> State:
     raise ValidationError(f"field 'kind' must be 'pure' or 'mixed', got {kind!r}")
 
 
-def _load_json(path: Path) -> dict:
+def _read(path: Path) -> bytes:
     try:
-        doc = json.loads(path.read_text())
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}")
+
+
+def _load_json(path: Path, data: bytes) -> dict:
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: neither a SCHMLAB1 binary file nor UTF-8 JSON")
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON is nested too deeply")
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -119,11 +130,12 @@ def save_state(state: State, path, provenance: dict | None = None,
 
 def load_state(path) -> State:
     path = Path(path)
-    data = path.read_bytes()
+    data = _read(path)
     if data[:8] == MAGIC:
         return state_from_bytes(data)
+    doc = _load_json(path, data)
     try:
-        return state_from_dict(_load_json(path))
+        return state_from_dict(doc)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -180,12 +192,13 @@ def channel_from_dict(doc: dict) -> QuantumChannel:
         dims_field = _require(doc, "dims")
         if (not isinstance(dims_field, (list, tuple)) or len(dims_field) != 2):
             raise ValidationError("field 'dims' must be [dim_out, dim_in]")
-        dims = BipartiteDims(int(dims_field[0]), int(dims_field[1]))
+        dims = BipartiteDims(_positive_int(dims_field[0], "dims[0]"),
+                             _positive_int(dims_field[1], "dims[1]"))
         flat = pairs_to_complex(doc["choi"], dims.total ** 2, "choi")
         choi = DensityMatrix(flat.reshape(dims.total, dims.total), dims)
         return QuantumChannel(choi_to_kraus(choi))
-    dim_in = _positive_int(doc, "dim_in")
-    dim_out = _positive_int(doc, "dim_out")
+    dim_in = _positive_int(_require(doc, "dim_in"), "dim_in")
+    dim_out = _positive_int(_require(doc, "dim_out"), "dim_out")
     kraus_field = _require(doc, "kraus")
     if not isinstance(kraus_field, list) or not kraus_field:
         raise ValidationError("field 'kraus' must be a nonempty list")
@@ -203,8 +216,9 @@ def save_channel(channel: QuantumChannel, path, provenance: dict | None = None):
 
 def load_channel(path) -> QuantumChannel:
     path = Path(path)
+    doc = _load_json(path, _read(path))
     try:
-        return channel_from_dict(_load_json(path))
+        return channel_from_dict(doc)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -173,10 +173,11 @@ def support_kernel(m, rel_cutoff: float = 1e-8):
     """Split a Hermitian PSD operator into support/kernel bases.
 
     Returns ``(support_vectors, support_values, kernel_vectors)`` where
-    the support columns carry eigenvalues >= rel_cutoff * largest.
+    the support columns carry eigenvalues >= rel_cutoff * largest.  A
+    numerically zero operator has no support and is refused.
     """
     vals, vecs = eigh(m)
-    if vals.size == 0 or vals[0] <= 0.0:
-        return vecs[:, :0], vals[:0], vecs
+    if vals[0] <= 0.0:
+        raise ValidationError("operator is numerically zero")
     rank = int(np.count_nonzero(vals >= rel_cutoff * vals[0]))
     return vecs[:, :rank], vals[:rank], vecs[:, rank:]

@@ -2,10 +2,9 @@
 
 A single user-facing seed is split into per-operation sub-seeds through
 `derive_seed(seed, tag)`: SHA-256 of the little-endian seed bytes plus the
-operation tag, truncated to 64 bits.  The scheme is stable across runs,
-platforms and thread schedules, which is what makes certificates
-reproducible for a fixed ``--seed``.  Random channel constructors live in
-`schmlab.channels`.
+operation tag, truncated to 64 bits.  The scheme is stable across runs
+and platforms, which is what makes certificates reproducible for a fixed
+``--seed``.  Random channel constructors live in `schmlab.channels`.
 """
 
 from __future__ import annotations

@@ -14,13 +14,10 @@ guaranteed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ValidationError, WitnessDegenerateError
@@ -45,27 +42,16 @@ OVERLAP_SHIFT = 1e-3
 DENSE_ORACLE_LIMIT = 16
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("SCHMLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+def _schmidt_factors(stack: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-r Schmidt factors of a (..., dA, dB) stack of coefficient matrices.
 
-
-def _multistart(run: Callable[[int], tuple], restarts: int):
-    """Run restarts serially or in threads; reduce deterministically.
-
-    Results are ordered by (value, restart index), so the winner does not
-    depend on scheduling.
+    ``a @ bh`` is the best Schmidt rank <= r approximation of each matrix:
+    ``a`` holds the leading left singular vectors scaled by their singular
+    values and ``bh`` the matching right singular rows, so the pair also
+    seeds the seesaw's A and B frames directly.
     """
-    threads = _thread_cap()
-    if threads > 1 and restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(i) for i in range(restarts)]
-    best_idx = min(range(len(results)), key=lambda i: (results[i][0], i))
-    return results[best_idx]
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return u[..., :r] * s[..., None, :r], vh[..., :r, :]
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +131,12 @@ def _ensemble_from_columns(cols: np.ndarray, dims: BipartiteDims) -> Ensemble:
     return tuple((w / total, psi) for w, psi in members)
 
 
-def _truncate_columns_to_sr(cols: np.ndarray, dims: BipartiteDims, r: int) -> np.ndarray:
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        m = cols[:, j].reshape(dims.dimA, dims.dimB)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        out[:, j] = ((u[:, :r] * s[:r]) @ vh[:r, :]).reshape(-1)
-    return out
+def _columns_max_sr(cols: np.ndarray, dims: BipartiteDims, tol: RankTolerance) -> int:
+    """`ensemble_max_sr` of `_ensemble_from_columns(cols)`, on raw arrays."""
+    members = [c / np.linalg.norm(c) for c in cols.T if np.vdot(c, c).real > 1e-14]
+    s = np.linalg.svd(np.reshape(members, (-1, dims.dimA, dims.dimB)),
+                      full_matrices=False)[1]
+    return int(np.max(np.count_nonzero(s >= tol.rel_cutoff * s[:, :1], axis=1)))
 
 
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
@@ -195,7 +180,8 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
         co_iso = q.conj().T  # rank x size, co_iso @ co_iso† = I
         cols = factor @ co_iso
         for _ in range(polish_iters):
-            truncated = _truncate_columns_to_sr(cols, dims, target)
+            a, bh = _schmidt_factors(cols.T.reshape(size, dims.dimA, dims.dimB), target)
+            truncated = (a @ bh).reshape(size, -1).T
             u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
             co_iso = u @ vh
             new_cols = factor @ co_iso
@@ -203,10 +189,9 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                 cols = new_cols
                 break
             cols = new_cols
-        ens = _ensemble_from_columns(cols, dims)
-        k = ensemble_max_sr(ens, tol)
+        k = _columns_max_sr(cols, dims, tol)
         if k < best_k:
-            best_k, best_ens = k, ens
+            best_k, best_ens = k, _ensemble_from_columns(cols, dims)
             if best_k <= max(1, floor):
                 break
     return best_k, best_ens
@@ -249,19 +234,14 @@ def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _truncate_vec_to_sr(vec: np.ndarray, dims: BipartiteDims, r: int) -> np.ndarray:
-    m = vec.reshape(dims.dimA, dims.dimB)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    out = ((u[:, :r] * s[:r]) @ vh[:r, :]).reshape(-1)
+    a, bh = _schmidt_factors(vec.reshape(dims.dimA, dims.dimB), r)
+    out = (a @ bh).reshape(-1)
     norm = np.linalg.norm(out)
     if norm <= 1e-300:
         out = np.zeros_like(vec)
         out[0] = 1.0
         return out
     return out / norm
-
-
-def _overlap(p4, phi: np.ndarray) -> float:
-    return float(np.vdot(phi, (p4 @ phi)).real)
 
 
 def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
@@ -317,7 +297,8 @@ def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
         value, _, _, phi = _seesaw_min_overlap(p4, dims, r, a, b, sweeps)
         return value, phi
 
-    value, phi = _multistart(run, samples)
+    # min() keeps the first of equal values: the lowest sample index wins.
+    value, phi = min(map(run, range(samples)), key=lambda result: result[0])
     return float(value), PureState(phi, dims)
 
 
@@ -328,10 +309,11 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
 
     Main path: multi-start alternating descent that pushes toward the
     bottom of P by shift-and-invert, then SVD-truncates back to Schmidt
-    rank r.  At total dimension <= `dense_limit` the independent grid +
-    polish oracle also runs and the smaller value wins.  The landscape is
-    nonconvex; the result is the best local value found, reproducible for
-    a fixed seed.
+    rank r.  All restarts descend together as rows of one array; a row
+    freezes once its value settles.  At total dimension <= `dense_limit`
+    the independent grid + polish oracle also runs and the smaller value
+    wins.  The landscape is nonconvex; the result is the best local value
+    found, reproducible for a fixed seed.
     """
     p = linalg.hermitize(p)
     if p.shape[0] != dims.total:
@@ -342,25 +324,27 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         vals, vecs = linalg.eigh(p)
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
-    n = dims.total
-    solver = scipy.linalg.cho_factor(p + shift * np.eye(n), check_finite=False)
+    resolvent_t = np.linalg.inv(p + shift * np.eye(dims.total)).T
+    phis = np.stack([
+        random_sr_pure_state(rng_for(seed, f"min_overlap/{i}"), dims, r).amplitudes
+        for i in range(restarts)
+    ])
+    values = np.einsum("ij,ij->i", phis.conj(), phis @ p.T).real
+    active = np.arange(restarts)
+    for _ in range(iters):
+        a, bh = _schmidt_factors((phis[active] @ resolvent_t).reshape(
+            -1, dims.dimA, dims.dimB), r)
+        step = (a @ bh).reshape(active.size, -1)
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+        step_values = np.einsum("ij,ij->i", step.conj(), step @ p.T).real
+        moving = np.abs(step_values - values[active]) >= 1e-14
+        phis[active], values[active] = step, step_values
+        active = active[moving]
+        if active.size == 0:
+            break
 
-    def run(restart: int):
-        rng = rng_for(seed, f"min_overlap/{restart}")
-        phi = random_sr_pure_state(rng, dims, r).amplitudes
-        value = _overlap(p, phi)
-        for _ in range(iters):
-            step = scipy.linalg.cho_solve(solver, phi, check_finite=False)
-            phi_next = _truncate_vec_to_sr(step, dims, r)
-            value_next = _overlap(p, phi_next)
-            if abs(value_next - value) < 1e-14:
-                phi, value = phi_next, value_next
-                break
-            phi, value = phi_next, value_next
-        return value, phi
-
-    value, phi = _multistart(run, restarts)
-    best = (float(value), PureState(phi, dims))
+    best_index = int(np.argmin(values))  # first minimum: lowest restart index
+    best = (float(values[best_index]), PureState(phis[best_index], dims))
 
     if dims.total <= dense_limit:
         oracle = min_overlap_grid(p, r, dims, samples=max(restarts, 128),
@@ -453,14 +437,6 @@ def witness_from_lambda(omega: DensityMatrix) -> Optional[WitnessOperator]:
 # Subtraction and the edge decomposition
 # ---------------------------------------------------------------------------
 
-def _support_data(matrix: np.ndarray, rel_cutoff: float):
-    vals, vecs = linalg.eigh(matrix)
-    if vals[0] <= 0.0:
-        raise ValidationError("operator is numerically zero")
-    rank = int(np.count_nonzero(vals >= rel_cutoff * vals[0]))
-    return vecs[:, :rank], vals[:rank], vecs[:, rank:]
-
-
 def _max_subtraction_raw(matrix: np.ndarray, support, vals, sigma: np.ndarray,
                          kernel_tol: float) -> float:
     sigma_tr = float(np.trace(sigma).real)
@@ -494,7 +470,7 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
     """
     if omega.dims != sigma.dims:
         raise ValidationError("omega and sigma must share dims")
-    support, vals, _ = _support_data(omega.matrix, tol.rel_cutoff)
+    support, vals, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
     return _max_subtraction_raw(omega.matrix, support, vals, sigma.matrix,
                                 kernel_tol=tol.rel_cutoff)
 
@@ -537,7 +513,7 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
     the normalized pseudo-inverse picks heavy candidates instead.  Feasible
     points are deduplicated by overlap and ordered by decreasing weight.
     """
-    support, vals, kernel = _support_data(matrix, tol.rel_cutoff)
+    support, vals, kernel = linalg.support_kernel(matrix, tol.rel_cutoff)
     tr = float(np.trace(matrix).real)
     rank = support.shape[1]
     full_support = kernel.shape[1] == 0
@@ -553,8 +529,8 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
         )
 
     n_warm = min(rank, max(2, restarts // 4))
-
-    def run(restart: int):
+    results = []
+    for restart in range(n_warm + restarts):
         if restart < n_warm:
             phi = _truncate_vec_to_sr(support[:, restart], dims, r)
         else:
@@ -562,27 +538,21 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
             g = rng.normal(size=rank) + 1j * rng.normal(size=rank)
             phi = _truncate_vec_to_sr(support @ g, dims, r)
         if full_support:
-            m = phi.reshape(dims.dimA, dims.dimB)
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            a = u[:, :r] * s[:r]
-            b = vh[:r, :].T
-            _, _, _, phi = _seesaw_min_overlap(pinv4, dims, r, a, b, sweeps=80)
+            a, bh = _schmidt_factors(phi.reshape(dims.dimA, dims.dimB), r)
+            _, _, _, phi = _seesaw_min_overlap(pinv4, dims, r, a, bh.T, sweeps=80)
             kernel_mass = 0.0
         elif restart % 2 == 0:
             phi, kernel_mass = _project_to_support_sr(phi, support, dims, r)
         else:
             # Second engine: exact seesaw on the kernel projector reaches
             # basins the plain alternating projection misses.
-            m = phi.reshape(dims.dimA, dims.dimB)
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            a = u[:, :r] * s[:r]
-            b = vh[:r, :].T
+            a, bh = _schmidt_factors(phi.reshape(dims.dimA, dims.dimB), r)
             kernel_mass, _, _, phi = _seesaw_min_overlap(
-                kernel4, dims, r, a, b, sweeps=150)
+                kernel4, dims, r, a, bh.T, sweeps=150)
             if 0 < kernel_mass <= 1e-6:
                 phi, kernel_mass = _project_to_support_sr(phi, support, dims, r)
         if kernel_mass > tol.rel_cutoff:
-            return 0.0, None
+            continue
         if not full_support and kernel_mass > 1e-14:
             # Candidates are later subtracted with their full weight against
             # a nearly-closed support gap, where leakage out of the support
@@ -590,38 +560,20 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
             phi, kernel_mass = _project_to_support_sr(phi, support, dims, r,
                                                       iters=2000, target=1e-14)
             if kernel_mass > 1e-13:
-                return 0.0, None
+                continue
         sigma = np.outer(phi, phi.conj())
         lam = _max_subtraction_raw(matrix / tr, support, vals / tr, sigma,
                                    kernel_tol=tol.rel_cutoff)
-        return -lam, phi
+        if lam > 0.0:
+            results.append((lam, phi))
 
-    threads = _thread_cap()
-    total = n_warm + restarts
-    if threads > 1 and total > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(total)))
-    else:
-        results = [run(i) for i in range(total)]
-
+    # A stable sort: equal weights keep restart order.
     found: list[tuple[float, np.ndarray]] = []
-    for neg_lam, phi in sorted(results, key=lambda item: item[0]):
-        if phi is None or neg_lam >= 0.0:
-            continue
+    for lam, phi in sorted(results, key=lambda item: -item[0]):
         if any(abs(np.vdot(phi, other)) > 0.999 for _, other in found):
             continue
-        found.append((-neg_lam, phi))
+        found.append((lam, phi))
     return found
-
-
-def _best_subtractable(matrix: np.ndarray, dims: BipartiteDims, r: int,
-                       restarts: int, seed: int,
-                       tol: RankTolerance) -> tuple[float, Optional[np.ndarray]]:
-    """Heaviest subtractable Schmidt rank <= r state found by the sweep."""
-    found = _subtractable_candidates(matrix, dims, r, restarts, seed, tol)
-    if not found:
-        return 0.0, None
-    return found[0]
 
 
 def _packing_weights(matrix: np.ndarray, pool: Sequence[np.ndarray],
@@ -638,7 +590,7 @@ def _packing_weights(matrix: np.ndarray, pool: Sequence[np.ndarray],
     floor (the leftover gap only pads the reported mixing weight upward,
     which stays an upper bound).
     """
-    support, vals, _ = _support_data(matrix, 1e-10)
+    support, vals, _ = linalg.support_kernel(matrix, 1e-10)
     omega_s = support.conj().T @ matrix @ support
     omega_s = (omega_s + omega_s.conj().T) / 2
     members = np.stack([support.conj().T @ phi for phi in pool], axis=1)
@@ -690,9 +642,10 @@ def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
                      seed: int = 0,
                      tol: RankTolerance = DEFAULT_TOL) -> tuple[float, Optional[PureState]]:
     """Largest weight of any Schmidt rank <= r pure state under omega."""
-    lam, phi = _best_subtractable(omega.matrix, omega.dims, r, restarts, seed, tol)
-    if phi is None:
+    found = _subtractable_candidates(omega.matrix, omega.dims, r, restarts, seed, tol)
+    if not found:
         return 0.0, None
+    lam, phi = found[0]
     return lam, PureState(phi, omega.dims)
 
 
@@ -737,7 +690,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     weights = np.zeros(0)
     pool_cap = 64
     remainder = omega.matrix.copy()
-    omega_support, _, _ = _support_data(omega.matrix, tol.rel_cutoff)
+    omega_support, _, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
     full_rank = omega_support.shape[1] == omega.dims.total
 
     def admit(phi: np.ndarray) -> Optional[np.ndarray]:
@@ -786,7 +739,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
                 weights = np.append(weights, 0.0)
             # Admission re-polished the vector, so its weight against the
             # current remainder must be recomputed before subtracting.
-            support, vals, _ = _support_data(remainder, tol.rel_cutoff)
+            support, vals, _ = linalg.support_kernel(remainder, tol.rel_cutoff)
             lam_rel = _max_subtraction_raw(
                 remainder / trace_left, support, vals / trace_left,
                 np.outer(phi, phi.conj()), kernel_tol=tol.rel_cutoff,

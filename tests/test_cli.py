@@ -173,6 +173,26 @@ def test_sweep_empty_range(tmp_path):
     assert json.loads(report.read_text())["rows"] == []
 
 
+@pytest.mark.parametrize("step", ["0", "-0.1"])
+def test_sweep_rejects_nonpositive_step(tmp_path, step):
+    report = tmp_path / "sweep.json"
+    code = cli.main(["sweep", "isotropic", "--f-step", step, "--json", str(report)])
+    assert code == 2
+    assert not report.exists()
+
+
+def test_zero_tol_exits_2(tmp_path):
+    fixture = tmp_path / "maxent.json"
+    save_state(maximally_entangled(2), fixture)
+    assert cli.main(["analyze-state", str(fixture), "--tol", "0"]) == 2
+
+
+def test_missing_input_exits_2(tmp_path):
+    proc = run_cli("analyze-state", tmp_path / "absent.json")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_report_determinism(tmp_path):
     fixture = tmp_path / "maxent.json"
     save_state(maximally_entangled(2), fixture)

@@ -62,6 +62,9 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text('{"dimA": 2,\n "dimB": }')
     with pytest.raises(ValidationError, match="line 2"):
         load_state(path)
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValidationError, match="nested"):
+        load_state(path)
 
 
 def test_load_rejects_missing_field(tmp_path):
@@ -81,6 +84,32 @@ def test_load_rejects_non_psd(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="eigenvalue"):
         load_state(path)
+
+
+def test_load_rejects_unreadable_files(tmp_path):
+    with pytest.raises(ValidationError, match="cannot read"):
+        load_state(tmp_path / "absent.json")
+    with pytest.raises(ValidationError, match="cannot read"):
+        load_channel(tmp_path / "absent.json")
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"\xff\xfe\x00binary without the magic")
+    with pytest.raises(ValidationError, match="UTF-8"):
+        load_state(garbage)
+    with pytest.raises(ValidationError, match="UTF-8"):
+        load_channel(garbage)
+
+
+@pytest.mark.parametrize("dims", [["a", 2], [True, 2.7], [2, 0], [2, 2.0]])
+def test_channel_choi_rejects_bad_dims(tmp_path, dims):
+    choi = identity_channel(2).choi()
+    doc = {
+        "choi": [[float(z.real), float(z.imag)] for z in choi.matrix.reshape(-1)],
+        "dims": dims,
+    }
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="positive integer"):
+        load_channel(path)
 
 
 def test_binary_rejects_truncated_payload():

@@ -179,18 +179,53 @@ def test_certify_mixture_bounds_order():
     assert 1 <= cert.lower <= cert.upper <= 3
 
 
-def test_multistart_thread_determinism(monkeypatch):
-    # SCHMLAB_THREADS parallelizes restarts; the reduction is by
-    # (value, restart index), so results match the serial run exactly.
-    from schmlab.schmidt import min_overlap_sr
+def test_schmidt_factors_match_per_matrix_truncation():
+    # The batched kernel gives the same bits as truncating one matrix at a
+    # time, and what it drops is exactly the discarded Schmidt weight.
+    from schmlab.schmidt import _schmidt_factors
 
-    p = np.eye(4) - maximally_entangled(2).projector()
-    dims = BipartiteDims(2, 2)
-    serial = min_overlap_sr(p, 1, dims, restarts=16, seed=3)
-    monkeypatch.setenv("SCHMLAB_THREADS", "4")
-    threaded = min_overlap_sr(p, 1, dims, restarts=16, seed=3)
-    assert serial[0] == threaded[0]
-    assert np.array_equal(serial[1].amplitudes, threaded[1].amplitudes)
+    rng = rng_for(12, "schmidt/factors")
+    stack = rng.normal(size=(7, 3, 4)) + 1j * rng.normal(size=(7, 3, 4))
+    r = 2
+    a, bh = _schmidt_factors(stack, r)
+    assert a.shape == (7, 3, r) and bh.shape == (7, r, 4)
+    for m, truncated in zip(stack, a @ bh):
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        assert np.array_equal(truncated, (u[:, :r] * s[:r]) @ vh[:r, :])
+        residual = np.linalg.norm(m - truncated) ** 2
+        assert residual == pytest.approx(np.sum(s[r:] ** 2), rel=1e-12)
+
+
+def test_min_overlap_sr_matches_per_restart_descent():
+    # All restarts descend together as rows of one array; the result must
+    # match running each restart on its own with a direct solve.
+    from schmlab.schmidt import OVERLAP_SHIFT, min_overlap_sr
+
+    dims = BipartiteDims(3, 3)
+    rng = rng_for(13, "schmidt/overlap-reference")
+    q, _ = np.linalg.qr(rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)))
+    p = q @ q.conj().T  # rank-6 projector: no product state in its kernel
+    r, restarts, iters, seed = 1, 16, 150, 3
+    value, argmin = min_overlap_sr(p, r, dims, restarts=restarts, iters=iters,
+                                   seed=seed, dense_limit=0)
+
+    shifted = p + OVERLAP_SHIFT * np.eye(dims.total)
+    reference = []
+    for restart in range(restarts):
+        phi = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, r).amplitudes
+        current = np.vdot(phi, p @ phi).real
+        for _ in range(iters):
+            u, s, vh = np.linalg.svd(np.linalg.solve(shifted, phi).reshape(3, 3))
+            phi = ((u[:, :r] * s[:r]) @ vh[:r, :]).reshape(-1)
+            phi /= np.linalg.norm(phi)
+            previous, current = current, np.vdot(phi, p @ phi).real
+            if abs(current - previous) < 1e-14:
+                break
+        reference.append(current)
+    assert value > 1e-3
+    assert value == pytest.approx(min(reference), abs=1e-12)
+    assert np.vdot(argmin.amplitudes, p @ argmin.amplitudes).real == pytest.approx(value, abs=1e-12)
+    assert schmidt_rank(argmin) == r
 
 
 def test_witness_from_lambda():
