@@ -46,7 +46,6 @@ from .errors import (
 from .linalg import (
     BipartiteDims,
     eigh,
-    kron,
     min_eigenvalue,
     partial_trace,
     svd,

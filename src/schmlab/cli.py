@@ -26,6 +26,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+# Seeds are hashed as unsigned 64-bit integers; the snk recipe also uses
+# seed + 1, so the accepted range stops one bit short.
+SEED_LIMIT = 2 ** 63
+
+# Most fidelity steps one isotropic sweep may take.
+MAX_SWEEP_STEPS = 10_000
+
 
 def _tolerances(args) -> tuple[RankTolerance, dict]:
     tol = RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
@@ -196,6 +203,12 @@ def cmd_sweep(args) -> int:
     elif args.recipe == "isotropic":
         if not args.f_step > 0:
             raise ValidationError(f"--f-step must be positive, got {args.f_step}")
+        if not 0.0 <= args.f_min <= args.f_max <= 1.0:
+            raise ValidationError("fidelity range must satisfy 0 <= --f-min <= --f-max <= 1, "
+                                  f"got [{args.f_min}, {args.f_max}]")
+        if (args.f_max - args.f_min) / args.f_step > MAX_SWEEP_STEPS:
+            raise ValidationError(f"--f-step {args.f_step} asks for more than "
+                                  f"{MAX_SWEEP_STEPS} sweep steps")
         rows = []
         f = args.f_min
         while f <= args.f_max + 1e-12:
@@ -271,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= args.seed < SEED_LIMIT:
+            raise ValidationError(f"--seed must lie in [0, 2^63), got {args.seed}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

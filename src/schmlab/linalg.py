@@ -5,7 +5,7 @@ Conventions used everywhere in this package:
 * Matrices are 2-D ``numpy.complex128`` arrays in row-major (C) order.
 * A composite A|B space is flattened A-major: the basis pair ``(iA, iB)``
   maps to the flat index ``iA * dimB + iB``.  ``numpy.kron`` follows the
-  same rule, so ``kron(opA, opB)`` acts on flattened composite vectors.
+  same rule, so ``np.kron(opA, opB)`` acts on flattened composite vectors.
 * Eigenvalues and singular values are returned in descending order.
 """
 
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionLimitError, NumericError, ValidationError
 
-# Hard cap on either output axis of `kron`.
-MAX_KRON_DIM = 4096
+# Hard cap on either axis of a bipartite space.
+MAX_DIM = 4096
 
 # Relative Frobenius deviation above which a matrix is rejected as
 # non-Hermitian instead of being silently symmetrized.
@@ -38,6 +38,9 @@ class BipartiteDims:
     def __post_init__(self):
         if self.dimA < 1 or self.dimB < 1:
             raise ValidationError(f"dimensions must be positive, got {self}")
+        if max(self.dimA, self.dimB) > MAX_DIM:
+            raise DimensionLimitError(
+                f"dimensions are capped at {MAX_DIM} per axis, got {self}")
 
     @property
     def total(self) -> int:
@@ -66,19 +69,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Kronecker product with the package's A-major index convention."""
-    a = as_matrix(a, "kron factor a")
-    b = as_matrix(b, "kron factor b")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise DimensionLimitError(
-            f"kron output {rows}x{cols} exceeds the dimension cap {max_dim}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m, dims: BipartiteDims, side: str) -> np.ndarray:

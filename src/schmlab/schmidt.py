@@ -35,7 +35,7 @@ from .states import (
 # Eigenvalue below -CERT_MARGIN counts as a certified positivity violation.
 CERT_MARGIN = 1e-9
 
-# Default shift for the shift-and-invert descent in min_overlap_sr.
+# Shift for the shift-and-invert descent in min_overlap_sr.
 OVERLAP_SHIFT = 1e-3
 
 # Total dimension up to which min_overlap_sr also runs the dense oracle.
@@ -80,8 +80,7 @@ class LambdaEvidence:
     eigenvalue: float
 
 
-def sn_lower_bound(omega: DensityMatrix,
-                   margin: float = CERT_MARGIN) -> tuple[int, Optional[LambdaEvidence]]:
+def sn_lower_bound(omega: DensityMatrix) -> tuple[int, Optional[LambdaEvidence]]:
     """Largest k+1 with (Id ⊗ Lambda_{1/k})(omega) negative; 1 if none.
 
     The scan over k = 1 .. min(dim)-1 is monotone: the violation eigenvalue
@@ -90,7 +89,7 @@ def sn_lower_bound(omega: DensityMatrix,
     best: Optional[tuple[int, float]] = None
     for k in range(1, omega.dims.min_dim):
         ev = linalg.min_eigenvalue(apply_lambda_on_b(omega.matrix, omega.dims, 1.0 / k))
-        if ev < -margin:
+        if ev < -CERT_MARGIN:
             best = (k, ev)
         else:
             break
@@ -104,10 +103,10 @@ def sn_lower_bound(omega: DensityMatrix,
 # Decomposition upper bound
 # ---------------------------------------------------------------------------
 
-def eigen_ensemble(omega: DensityMatrix, floor: float = 1e-12) -> Ensemble:
+def eigen_ensemble(omega: DensityMatrix) -> Ensemble:
     """Spectral decomposition as an ensemble of eigenvectors."""
     vals, vecs = linalg.eigh(omega.matrix)
-    keep = vals > floor
+    keep = vals > 1e-12
     weights = vals[keep]
     weights = weights / weights.sum()
     members = []
@@ -142,7 +141,7 @@ def _columns_max_sr(cols: np.ndarray, dims: BipartiteDims, tol: RankTolerance) -
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                    tol: RankTolerance = DEFAULT_TOL,
                    hints: Optional[Sequence[Ensemble]] = None,
-                   polish_iters: int = 60, floor: int = 1) -> tuple[int, Ensemble]:
+                   floor: int = 1) -> tuple[int, Ensemble]:
     """Best decomposition found: (max member Schmidt rank, ensemble).
 
     Candidates: the eigen-ensemble, any ensemble attached to the state,
@@ -179,7 +178,7 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
         q, _ = np.linalg.qr(g)
         co_iso = q.conj().T  # rank x size, co_iso @ co_iso† = I
         cols = factor @ co_iso
-        for _ in range(polish_iters):
+        for _ in range(60):
             a, bh = _schmidt_factors(cols.T.reshape(size, dims.dimA, dims.dimB), target)
             truncated = (a @ bh).reshape(size, -1).T
             u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
@@ -233,53 +232,46 @@ def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0,
 # Minimal overlap of bounded-Schmidt-rank states with a PSD operator
 # ---------------------------------------------------------------------------
 
-def _truncate_vec_to_sr(vec: np.ndarray, dims: BipartiteDims, r: int) -> np.ndarray:
-    a, bh = _schmidt_factors(vec.reshape(dims.dimA, dims.dimB), r)
-    out = (a @ bh).reshape(-1)
-    norm = np.linalg.norm(out)
-    if norm <= 1e-300:
-        out = np.zeros_like(vec)
-        out[0] = 1.0
-        return out
-    return out / norm
-
-
 def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
-                        a: np.ndarray, b: np.ndarray, sweeps: int,
-                        converge_tol: float = 1e-12):
+                        b: np.ndarray, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact alternating minimization of <phi|P|phi> over Schmidt rank <= r.
 
     With one side's frame held orthonormal, the optimal other side is the
     bottom eigenvector of a contracted (r*d)-dimensional quadratic form, so
     every sweep is a pair of exact eigenproblems.  `p4` is the operator
-    reshaped to (dA, dB, dA, dB).
+    reshaped to (dA, dB, dA, dB) and `b` an (n, dB, r) stack of starting
+    B frames.  All starts descend together as rows; a row freezes once its
+    value settles.  Returns each row's value and unit vector phi.
     """
     dA, dB = dims.dimA, dims.dimB
-    value = np.inf
+    a = np.empty((len(b), dA, r), dtype=np.complex128)
+    b = np.array(b, dtype=np.complex128)
+    values = np.full(len(b), np.inf)
+    active = np.arange(len(b))
     for _ in range(sweeps):
         # B orthonormal -> solve for the A-side stack.
-        b, rb = np.linalg.qr(b)
-        a = a @ rb.T
-        qa = np.einsum("aibj,ik,jl->kalb", p4, b.conj(), b).reshape(r * dA, r * dA)
-        vals, vecs = np.linalg.eigh((qa + qa.conj().T) / 2)
-        a = vecs[:, 0].reshape(r, dA).T
+        ob = np.linalg.qr(b[active])[0]
+        qa = np.einsum("aibj,nik,njl->nkalb", p4, ob.conj(), ob).reshape(-1, r * dA, r * dA)
+        vecs = np.linalg.eigh((qa + qa.conj().transpose(0, 2, 1)) / 2)[1]
         # A orthonormal -> solve for the B-side stack.
-        a, ra = np.linalg.qr(a)
-        b = b @ ra.T
-        qb = np.einsum("aibj,ak,bl->kilj", p4, a.conj(), a).reshape(r * dB, r * dB)
-        vals, vecs = np.linalg.eigh((qb + qb.conj().T) / 2)
-        b = vecs[:, 0].reshape(r, dB).T
-        if abs(vals[0] - value) < converge_tol:
-            value = vals[0]
+        oa = np.linalg.qr(vecs[:, :, 0].reshape(-1, r, dA).transpose(0, 2, 1))[0]
+        qb = np.einsum("aibj,nak,nbl->nkilj", p4, oa.conj(), oa).reshape(-1, r * dB, r * dB)
+        vals, vecs = np.linalg.eigh((qb + qb.conj().transpose(0, 2, 1)) / 2)
+        a[active] = oa
+        b[active] = vecs[:, :, 0].reshape(-1, r, dB).transpose(0, 2, 1)
+        moving = np.abs(vals[:, 0] - values[active]) >= 1e-12
+        values[active] = vals[:, 0]
+        active = active[moving]
+        if active.size == 0:
             break
-        value = vals[0]
-    phi = (a @ b.T).reshape(-1)
-    phi /= np.linalg.norm(phi)
-    return float(value), a, b, phi
+    phis = (a @ b.transpose(0, 2, 1)).reshape(len(b), -1)
+    for phi in phis:
+        phi /= np.linalg.norm(phi)
+    return values, phis
 
 
 def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
-                     sweeps: int = 80, seed: int = 0) -> tuple[float, PureState]:
+                     seed: int = 0) -> tuple[float, PureState]:
     """Grid + polish oracle for min <phi|P|phi> over Schmidt rank <= r.
 
     Independent of the shift-and-invert path: random Schmidt-rank-r seeds
@@ -288,22 +280,21 @@ def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
     p = linalg.hermitize(p)
     dA, dB = dims.dimA, dims.dimB
     r = min(r, dims.min_dim)
-    p4 = p.reshape(dA, dB, dA, dB)
-
-    def run(sample: int):
+    frames = []
+    for sample in range(samples):
         rng = rng_for(seed, f"min_overlap_grid/{sample}")
-        a = rng.normal(size=(dA, r)) + 1j * rng.normal(size=(dA, r))
-        b = rng.normal(size=(dB, r)) + 1j * rng.normal(size=(dB, r))
-        value, _, _, phi = _seesaw_min_overlap(p4, dims, r, a, b, sweeps)
-        return value, phi
-
-    # min() keeps the first of equal values: the lowest sample index wins.
-    value, phi = min(map(run, range(samples)), key=lambda result: result[0])
-    return float(value), PureState(phi, dims)
+        # Each sample's seed stream starts with an A frame; the seesaw solves
+        # for A first, so it is drawn only to keep every B frame unchanged.
+        rng.normal(size=2 * dA * r)
+        frames.append(rng.normal(size=(dB, r)) + 1j * rng.normal(size=(dB, r)))
+    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r,
+                                       np.stack(frames), 80)
+    best = int(np.argmin(values))  # first minimum: lowest sample index
+    return float(values[best]), PureState(phis[best], dims)
 
 
 def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
-                   iters: int = 150, shift: float = OVERLAP_SHIFT, seed: int = 0,
+                   iters: int = 150, seed: int = 0,
                    dense_limit: int = DENSE_ORACLE_LIMIT) -> tuple[float, PureState]:
     """epsilon = min <phi|P|phi> over pure phi with Schmidt rank <= r.
 
@@ -324,7 +315,7 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         vals, vecs = linalg.eigh(p)
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
-    resolvent_t = np.linalg.inv(p + shift * np.eye(dims.total)).T
+    resolvent_t = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total)).T
     phis = np.stack([
         random_sr_pure_state(rng_for(seed, f"min_overlap/{i}"), dims, r).amplitudes
         for i in range(restarts)
@@ -495,7 +486,9 @@ def _project_to_support_sr(phi: np.ndarray, support: np.ndarray,
         kernel_mass = max(0.0, 1.0 - norm * norm)
         if kernel_mass < target:
             return phi, kernel_mass
-        phi = _truncate_vec_to_sr(inside, dims, r)
+        a, bh = _schmidt_factors(inside.reshape(dims.dimA, dims.dimB), r)
+        phi = (a @ bh).reshape(-1)
+        phi /= np.linalg.norm(phi)
     return phi, kernel_mass
 
 
@@ -518,39 +511,36 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
     rank = support.shape[1]
     full_support = kernel.shape[1] == 0
 
-    pinv4 = kernel4 = None
+    n_warm = min(rank, max(2, restarts // 4))
+    starts = [support[:, restart] for restart in range(n_warm)]
+    for restart in range(n_warm, n_warm + restarts):
+        rng = rng_for(seed, f"subtract/{restart}")
+        g = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+        starts.append(support @ g)
+    a, bh = _schmidt_factors(np.reshape(starts, (-1, dims.dimA, dims.dimB)), r)
+    truncated = a @ bh
+    for m in truncated:
+        m /= np.linalg.norm(m)
+    # The seesaw starts from the B factors of the normalized starts.
+    frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
+    phis = truncated.reshape(len(starts), -1)
+    masses = np.zeros(len(starts))
     if full_support:
         pinv = (support / vals) @ support.conj().T * tr
         pinv = (pinv + pinv.conj().T) / 2 * (float(vals[-1]) / tr)
         pinv4 = pinv.reshape(dims.dimA, dims.dimB, dims.dimA, dims.dimB)
+        phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
     else:
+        # Odd restarts take a second engine: exact seesaw on the kernel
+        # projector reaches basins the plain alternating projection misses.
         kernel4 = (kernel @ kernel.conj().T).reshape(
             dims.dimA, dims.dimB, dims.dimA, dims.dimB
         )
-
-    n_warm = min(rank, max(2, restarts // 4))
+        masses[1::2], phis[1::2] = _seesaw_min_overlap(kernel4, dims, r, frames[1::2], 150)
     results = []
-    for restart in range(n_warm + restarts):
-        if restart < n_warm:
-            phi = _truncate_vec_to_sr(support[:, restart], dims, r)
-        else:
-            rng = rng_for(seed, f"subtract/{restart}")
-            g = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-            phi = _truncate_vec_to_sr(support @ g, dims, r)
-        if full_support:
-            a, bh = _schmidt_factors(phi.reshape(dims.dimA, dims.dimB), r)
-            _, _, _, phi = _seesaw_min_overlap(pinv4, dims, r, a, bh.T, sweeps=80)
-            kernel_mass = 0.0
-        elif restart % 2 == 0:
+    for restart, (phi, kernel_mass) in enumerate(zip(phis, masses)):
+        if not full_support and (restart % 2 == 0 or 0 < kernel_mass <= 1e-6):
             phi, kernel_mass = _project_to_support_sr(phi, support, dims, r)
-        else:
-            # Second engine: exact seesaw on the kernel projector reaches
-            # basins the plain alternating projection misses.
-            a, bh = _schmidt_factors(phi.reshape(dims.dimA, dims.dimB), r)
-            kernel_mass, _, _, phi = _seesaw_min_overlap(
-                kernel4, dims, r, a, bh.T, sweeps=150)
-            if 0 < kernel_mass <= 1e-6:
-                phi, kernel_mass = _project_to_support_sr(phi, support, dims, r)
         if kernel_mass > tol.rel_cutoff:
             continue
         if not full_support and kernel_mass > 1e-14:
@@ -577,14 +567,13 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
 
 
 def _packing_weights(matrix: np.ndarray, pool: Sequence[np.ndarray],
-                     c0: Optional[np.ndarray] = None, mu0: float = 0.1,
-                     mu_min: float = 1e-5) -> np.ndarray:
+                     c0: Optional[np.ndarray] = None) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
     Log-barrier Newton restricted to the support of omega.  Greedy weight
     assignment along overlapping candidates strands removable mass; this
     small packing program reallocates the collected pool exactly.  The
-    barrier stops at a spectral gap of about `mu_min` * rank: candidates
+    barrier stops at a spectral gap of about 1e-5 * rank: candidates
     leak out of the support at the 1e-13 level, and pushing the gap lower
     would amplify that leakage into remainder negativity beyond the PSD
     floor (the leftover gap only pads the reported mixing weight upward,
@@ -601,8 +590,8 @@ def _packing_weights(matrix: np.ndarray, pool: Sequence[np.ndarray],
         if np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0] > 1e-14:
             break
         c = c * 0.5
-    mu = mu0
-    while mu > mu_min:
+    mu = 0.1
+    while mu > 1e-5:
         for _ in range(60):
             gap = omega_s - (members * c) @ members.conj().T
             gap = (gap + gap.conj().T) / 2
@@ -665,18 +654,17 @@ class EdgeDecomposition:
 
 
 def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 0,
-                   tol: RankTolerance = DEFAULT_TOL, damping: float = 0.5,
-                   weight_floor: float = 1e-6) -> EdgeDecomposition:
+                   tol: RankTolerance = DEFAULT_TOL) -> EdgeDecomposition:
     """Greedy split of a Schmidt-class-k state into class-(k-1) plus edge.
 
     Greedy subtraction drives the bulk of the split: each round searches
     the remainder for subtractable Schmidt rank <= k-1 pure states and
-    removes `damping` times the best candidate's maximal weight.  Because
+    removes half of the best candidate's maximal weight.  Because
     greedy weight choices along overlapping candidates strand removable
     mass, every discovered candidate is kept in a pool and, whenever the
     greedy step stalls, the pool weights are reallocated exactly by a
     small packing program; the loop ends when reallocation stops helping,
-    several consecutive rounds find nothing above `weight_floor`, or the
+    several consecutive rounds find nothing above 1e-6, or the
     budget of search restarts is spent.
     """
     if k < 2:
@@ -729,6 +717,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             derive_seed(seed, f"edge/round/{rounds}"), tol,
         )
         spent += restarts_per_round
+        support, vals, _ = linalg.support_kernel(remainder, tol.rel_cutoff)
         admitted = []
         for _, phi in candidates:
             phi = admit(phi)
@@ -739,18 +728,17 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
                 weights = np.append(weights, 0.0)
             # Admission re-polished the vector, so its weight against the
             # current remainder must be recomputed before subtracting.
-            support, vals, _ = linalg.support_kernel(remainder, tol.rel_cutoff)
             lam_rel = _max_subtraction_raw(
                 remainder / trace_left, support, vals / trace_left,
                 np.outer(phi, phi.conj()), kernel_tol=tol.rel_cutoff,
             )
             admitted.append((lam_rel, phi))
         admitted.sort(key=lambda item: -item[0])
-        if admitted and admitted[0][0] * trace_left > weight_floor:
+        if admitted and admitted[0][0] * trace_left > 1e-6:
             lam_rel, phi = admitted[0]
             index = next(i for i, other in enumerate(pool)
                          if abs(np.vdot(phi, other)) > 0.999)
-            weights[index] += damping * lam_rel * trace_left
+            weights[index] += 0.5 * lam_rel * trace_left
             remainder = recompute_remainder()
             stall = 0
             continue

@@ -206,10 +206,9 @@ def schmidt_rank(psi: PureState, tol: RankTolerance = DEFAULT_TOL) -> int:
 
 def maximally_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on d ⊗ d."""
-    if d < 1:
-        raise ValidationError("dimension must be positive")
+    dims = BipartiteDims(d, d)  # validates d before anything is allocated
     amp = np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
-    return PureState(amp, BipartiteDims(d, d))
+    return PureState(amp, dims)
 
 
 def product_state(a, b) -> PureState:

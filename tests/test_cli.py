@@ -9,8 +9,8 @@ import pytest
 
 from schmlab import cli
 from schmlab.channels import completely_depolarizing, identity_channel
-from schmlab.errors import NumericError
-from schmlab.io import save_channel, save_state
+from schmlab.errors import NumericError, ValidationError
+from schmlab.io import load_state, save_channel, save_state
 from schmlab.states import maximally_entangled
 
 
@@ -165,12 +165,17 @@ def test_sweep_isotropic_steps(tmp_path):
     assert lowers[0] == 1 and lowers[-1] == 3
 
 
-def test_sweep_empty_range(tmp_path):
-    report = tmp_path / "empty.json"
-    proc = run_cli("sweep", "isotropic", "--f-min", 0.9, "--f-max", 0.1,
-                   "--json", report)
-    assert proc.returncode == 0
-    assert json.loads(report.read_text())["rows"] == []
+@pytest.mark.parametrize("f_min, f_max, f_step", [
+    ("0.9", "1.2", "0.1"),   # rows above F = 1 would be computed at F = 1
+    ("0.9", "0.1", "0.05"),  # an empty range
+    ("0", "1", "1e-7"),      # 10^7 rows, none printed until all are done
+], ids=["above-one", "reversed", "too-many-steps"])
+def test_sweep_rejects_bad_range(tmp_path, f_min, f_max, f_step):
+    report = tmp_path / "sweep.json"
+    code = cli.main(["sweep", "isotropic", "--f-min", f_min, "--f-max", f_max,
+                     "--f-step", f_step, "--json", str(report)])
+    assert code == 2
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-0.1"])
@@ -185,6 +190,26 @@ def test_zero_tol_exits_2(tmp_path):
     fixture = tmp_path / "maxent.json"
     save_state(maximally_entangled(2), fixture)
     assert cli.main(["analyze-state", str(fixture), "--tol", "0"]) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_out_of_range_exits_2(tmp_path, seed):
+    report = tmp_path / "report.json"
+    code = cli.main(["analyze-state", "--recipe", "isotropic", "--d", "3",
+                     "--fidelity", "0.5", "--seed", str(seed), "--json", str(report)])
+    assert code == 2
+    assert not report.exists()
+
+
+def test_dimension_cap_exits_2(tmp_path):
+    # A well-formed product state, refused only for its width.
+    data = [[1.0, 0.0]] + [[0.0, 0.0]] * 4096
+    fixture = tmp_path / "wide.json"
+    fixture.write_text(json.dumps({"dimA": 4097, "dimB": 1, "kind": "pure", "data": data}))
+    with pytest.raises(ValidationError, match="capped at 4096"):
+        load_state(fixture)
+    assert cli.main(["analyze-state", str(fixture)]) == 2
+    assert cli.main(["analyze-state", "--recipe", "maxent", "--d", "4097"]) == 2
 
 
 def test_missing_input_exits_2(tmp_path):

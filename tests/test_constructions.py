@@ -16,7 +16,6 @@ from schmlab.constructions import (
     rotation_unitary,
 )
 from schmlab.errors import ValidationError
-from schmlab.linalg import BipartiteDims, kron
 from schmlab.schmidt import (
     certify,
     ensemble_max_sr,
@@ -94,7 +93,7 @@ def test_rotation_state_discrete_symmetry():
     n = 8
     state = build_rotation_state(phi, phi, RotationGrid(points=n))
     step = 2 * np.pi / n
-    u = kron(rotation_unitary(step, 3), rotation_unitary(step, 3))
+    u = np.kron(rotation_unitary(step, 3), rotation_unitary(step, 3))
     rotated = u @ state.matrix @ u.conj().T
     assert np.linalg.norm(rotated - state.matrix) <= 1e-9
 

@@ -8,7 +8,6 @@ from schmlab.linalg import (
     BipartiteDims,
     eigh,
     hermitize,
-    kron,
     matrix_rank,
     min_eigenvalue,
     partial_trace,
@@ -31,19 +30,20 @@ def _random_psd(rng, n):
     return g @ g.conj().T
 
 
+# numpy.kron is the A-major product that partial_trace and the builders rely on.
 def test_kron_identity():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_diagonal():
-    out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    out = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_kron_flip_on_basis_vector():
     # Oracle: brute-force index expansion of (X ⊗ X)|00> = |11>.
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    big = kron(x, x)
+    big = np.kron(x, x)
     expected = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
@@ -56,9 +56,12 @@ def test_kron_flip_on_basis_vector():
     assert np.allclose(big @ e00, [0, 0, 0, 1])
 
 
-def test_kron_dimension_cap():
+def test_dimension_cap():
+    assert BipartiteDims(4096, 1).dimA == 4096
     with pytest.raises(DimensionLimitError):
-        kron(np.eye(100), np.eye(100), max_dim=4096)
+        BipartiteDims(4097, 1)
+    with pytest.raises(DimensionLimitError):
+        BipartiteDims(1, 4097)
 
 
 def test_kron_associativity_random():
@@ -67,8 +70,8 @@ def test_kron_associativity_random():
         a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
+        left = np.kron(np.kron(a, b), c)
+        right = np.kron(a, np.kron(b, c))
         assert np.linalg.norm(left - right) <= 1e-12 * max(1.0, np.linalg.norm(left))
 
 

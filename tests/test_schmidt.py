@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from schmlab.linalg import BipartiteDims, kron, min_eigenvalue, partial_trace
+from schmlab.linalg import BipartiteDims, min_eigenvalue, partial_trace
 from schmlab.sampling import (
     random_density_matrix,
     random_sr_mixture,
@@ -50,7 +50,7 @@ def test_lambda_on_pure_state_oracle(r):
     psi = equal_coefficient_state(r, dims)
     out = apply_lambda_on_b(psi.projector(), dims, t)
     rho_a = partial_trace(psi.projector(), dims, "B")
-    oracle = kron(rho_a, np.eye(4)) - t * psi.projector()
+    oracle = np.kron(rho_a, np.eye(4)) - t * psi.projector()
     assert np.linalg.norm(out - oracle) <= 1e-12
     # The state direction carries eigenvalue 1/r - t.
     val = np.vdot(psi.amplitudes, out @ psi.amplitudes).real
@@ -241,3 +241,34 @@ def test_witness_from_lambda():
         assert np.vdot(sigma.amplitudes, w.matrix @ sigma.amplitudes).real >= -1e-9
     sep = DensityMatrix(np.eye(4) / 4, BipartiteDims(2, 2))
     assert witness_from_lambda(sep) is None
+
+
+@pytest.mark.parametrize("dA, dB, r", [(2, 2, 1), (3, 3, 2), (4, 5, 3)])
+def test_seesaw_rows_match_single_row_calls(dA, dB, r):
+    # All starts descend together as rows of one stack; every row must give
+    # the same bits as a call on that row alone, however early it freezes.
+    from schmlab.schmidt import _seesaw_min_overlap, _schmidt_factors
+
+    dims = BipartiteDims(dA, dB)
+    rng = rng_for(14, f"schmidt/seesaw/{dA}x{dB}")
+    n = dims.total
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    p4 = (g @ g.conj().T).reshape(dA, dB, dA, dB)
+    cold = rng.normal(size=(4, dB, r)) + 1j * rng.normal(size=(4, dB, r))
+    # Restarting from a converged row's own B frame settles within two sweeps.
+    _, settled = _seesaw_min_overlap(p4, dims, r, cold[:2], 80)
+    warm = _schmidt_factors(settled.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
+    frames = np.concatenate([cold[:2], warm, cold[2:]])
+
+    def run_rows(sweeps):
+        values, phis = _seesaw_min_overlap(p4, dims, r, frames, sweeps)
+        for row in range(len(frames)):
+            alone = _seesaw_min_overlap(p4, dims, r, frames[row:row + 1], sweeps)
+            assert np.array_equal(alone[0], values[row:row + 1])
+            assert np.array_equal(alone[1], phis[row:row + 1])
+        return values, phis
+
+    early, full = run_rows(2), run_rows(80)
+    frozen = [np.array_equal(early[1][row], full[1][row]) for row in range(len(frames))]
+    assert frozen[2:4] == [True, True] and not all(frozen)
+    assert np.allclose(np.linalg.norm(full[1], axis=1), 1.0)
