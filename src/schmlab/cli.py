@@ -66,6 +66,8 @@ def _build_state(args, recipe: str):
         grid = constructions.RotationGrid(points=args.grid, arc=args.arc)
         return constructions.build_rotation_state(profile, profile, grid)
     if recipe == "snk":
+        if args.n < 1:
+            raise ValidationError(f"--n must be >= 1, got {args.n}")
         left = constructions.orthogonal_fourier_family(
             args.k, args.m, args.decay, seed=args.seed)
         right = constructions.orthogonal_fourier_family(
@@ -188,6 +190,8 @@ def _parse_grid_list(text: str) -> list[int]:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--grids expects comma-separated integers, got {text!r}")
+    if not values:
+        raise ValidationError(f"--grids names no grid size, got {text!r}")
     return values
 
 

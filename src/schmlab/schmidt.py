@@ -138,6 +138,44 @@ def _columns_max_sr(cols: np.ndarray, dims: BipartiteDims, tol: RankTolerance) -
     return int(np.max(np.count_nonzero(s >= tol.rel_cutoff * s[:, :1], axis=1)))
 
 
+def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
+                  trials: range) -> list[np.ndarray]:
+    """Polished (dims.total, size) member columns of each remix trial, in order.
+
+    Trials of one size polish together as rows of one stack; each row
+    freezes once its step falls below 1e-12.  Every row gives the same bits
+    as polishing that trial on its own.
+    """
+    rank = factor.shape[1]
+    factor_h = factor.conj().T
+    polished = {}
+    for size in range(rank, 2 * rank + 1):
+        group = [trial for trial in trials if rank + trial % (rank + 1) == size]
+        if not group:
+            continue
+        draws = []
+        for trial in group:
+            rng = rng_for(seed, f"sn_upper/remix/{trial}")
+            draws.append(rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)))
+        # rank x size co-isometries, co_iso @ co_iso† = I
+        co_iso = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
+        cols = factor @ co_iso
+        active = np.arange(len(group))
+        for _ in range(60):
+            a, bh = _schmidt_factors(
+                cols[active].transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB), target)
+            truncated = (a @ bh).reshape(active.size, size, -1).transpose(0, 2, 1)
+            u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
+            new_cols = factor @ (u @ vh)
+            moving = np.linalg.norm(new_cols - cols[active], axis=(1, 2)) >= 1e-12
+            cols[active] = new_cols
+            active = active[moving]
+            if active.size == 0:
+                break
+        polished.update(zip(group, cols))
+    return [polished[trial] for trial in trials]
+
+
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                    tol: RankTolerance = DEFAULT_TOL,
                    hints: Optional[Sequence[Ensemble]] = None,
@@ -150,8 +188,13 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     state arise this way) and then alternates SVD truncation of the members
     with an orthogonal-Procrustes refit, steering the ensemble toward
     members of lower Schmidt rank while reconstructing omega exactly.
-    `floor` is a known lower bound on the Schmidt number; the remix search
-    stops once it is reached, since no decomposition can beat it.
+    Trials polish together in index-ordered chunks of 1, 2, 4, ... up to 64
+    (back to 1 after each improvement).  Results are read in trial order and
+    the first improving trial wins; the later trials of its chunk are polished
+    again toward the new target, so the outcome is that of running the trials
+    one after another.  `floor` is a known lower bound on the Schmidt number;
+    the remix search stops once it is reached, since no decomposition can
+    beat it.
     """
     dims = omega.dims
     candidates: list[Ensemble] = [eigen_ensemble(omega)]
@@ -170,28 +213,15 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     rank = max(1, int(np.count_nonzero(vals > 1e-12)))
     factor = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))  # M M† = omega
 
-    for trial in range(budget):
-        target = best_k - 1
-        size = rank + trial % (rank + 1)
-        rng = rng_for(seed, f"sn_upper/remix/{trial}")
-        g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-        q, _ = np.linalg.qr(g)
-        co_iso = q.conj().T  # rank x size, co_iso @ co_iso† = I
-        cols = factor @ co_iso
-        for _ in range(60):
-            a, bh = _schmidt_factors(cols.T.reshape(size, dims.dimA, dims.dimB), target)
-            truncated = (a @ bh).reshape(size, -1).T
-            u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
-            co_iso = u @ vh
-            new_cols = factor @ co_iso
-            if np.linalg.norm(new_cols - cols) < 1e-12:
-                cols = new_cols
-                break
-            cols = new_cols
-        k = _columns_max_sr(cols, dims, tol)
-        if k < best_k:
-            best_k, best_ens = k, _ensemble_from_columns(cols, dims)
-            if best_k <= max(1, floor):
+    trial, chunk = 0, 1
+    while trial < budget and best_k > max(1, floor):
+        trials = range(trial, min(trial + chunk, budget))
+        trial, chunk = trials.stop, min(2 * chunk, 64)
+        for index, cols in zip(trials, _remix_polish(factor, dims, best_k - 1, seed, trials)):
+            k = _columns_max_sr(cols, dims, tol)
+            if k < best_k:
+                best_k, best_ens = k, _ensemble_from_columns(cols, dims)
+                trial, chunk = index + 1, 1
                 break
     return best_k, best_ens
 
@@ -492,8 +522,8 @@ def _project_to_support_sr(phi: np.ndarray, support: np.ndarray,
     return phi, kernel_mass
 
 
-def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
-                             restarts: int, seed: int,
+def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
+                             dims: BipartiteDims, r: int, restarts: int, seed: int,
                              tol: RankTolerance) -> list[tuple[float, np.ndarray]]:
     """Distinct Schmidt rank <= r states with positive subtraction weight.
 
@@ -505,8 +535,9 @@ def _subtractable_candidates(matrix: np.ndarray, dims: BipartiteDims, r: int,
     On a full support feasibility is free and an exact seesaw descent of
     the normalized pseudo-inverse picks heavy candidates instead.  Feasible
     points are deduplicated by overlap and ordered by decreasing weight.
+    `spectral` is ``linalg.support_kernel(matrix, tol.rel_cutoff)``.
     """
-    support, vals, kernel = linalg.support_kernel(matrix, tol.rel_cutoff)
+    support, vals, kernel = spectral
     tr = float(np.trace(matrix).real)
     rank = support.shape[1]
     full_support = kernel.shape[1] == 0
@@ -631,7 +662,9 @@ def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
                      seed: int = 0,
                      tol: RankTolerance = DEFAULT_TOL) -> tuple[float, Optional[PureState]]:
     """Largest weight of any Schmidt rank <= r pure state under omega."""
-    found = _subtractable_candidates(omega.matrix, omega.dims, r, restarts, seed, tol)
+    spectral = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    found = _subtractable_candidates(omega.matrix, spectral, omega.dims, r, restarts,
+                                     seed, tol)
     if not found:
         return 0.0, None
     lam, phi = found[0]
@@ -712,12 +745,13 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         if trace_left < 1e-9:
             break
         rounds += 1
+        spectral = linalg.support_kernel(remainder, tol.rel_cutoff)
         candidates = _subtractable_candidates(
-            remainder, omega.dims, r, restarts_per_round,
+            remainder, spectral, omega.dims, r, restarts_per_round,
             derive_seed(seed, f"edge/round/{rounds}"), tol,
         )
         spent += restarts_per_round
-        support, vals, _ = linalg.support_kernel(remainder, tol.rel_cutoff)
+        support, vals, _ = spectral
         admitted = []
         for _, phi in candidates:
             phi = admit(phi)

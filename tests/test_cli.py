@@ -145,6 +145,24 @@ def test_build_bad_parameters_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["build", "analyze-state"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_snk_rejects_nonpositive_n(tmp_path, command, n):
+    out = tmp_path / "out.json"
+    argv = (["build", "snk", "--out", str(out)] if command == "build" else
+            ["analyze-state", "--recipe", "snk", "--json", str(out)])
+    assert cli.main([*argv, "--n", n]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grids", ["", ",,"])
+def test_sweep_rotation_rejects_empty_grids(tmp_path, grids):
+    report = tmp_path / "sweep.json"
+    code = cli.main(["sweep", "rotation", "--grids", grids, "--json", str(report)])
+    assert code == 2
+    assert not report.exists()
+
+
 def test_sweep_rotation(tmp_path):
     report = tmp_path / "sweep.json"
     proc = run_cli("sweep", "rotation", "--m", 2, "--grids", "4,8",

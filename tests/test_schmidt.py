@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from schmlab.linalg import BipartiteDims, min_eigenvalue, partial_trace
+from schmlab.constructions import isotropic_state
+from schmlab.linalg import BipartiteDims, eigh, min_eigenvalue, partial_trace
 from schmlab.sampling import (
     random_density_matrix,
     random_sr_mixture,
@@ -21,7 +22,13 @@ from schmlab.schmidt import (
     sn_upper_bound,
     witness_from_lambda,
 )
-from schmlab.states import DensityMatrix, PureState, maximally_entangled, schmidt_rank
+from schmlab.states import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    PureState,
+    maximally_entangled,
+    schmidt_rank,
+)
 
 
 def equal_coefficient_state(r, dims):
@@ -126,6 +133,72 @@ def test_sn_upper_maximally_mixed():
     assert upper == 1
     mix = sum(w * psi.projector() for w, psi in ens)
     assert np.linalg.norm(mix - omega.matrix) <= 1e-10
+
+
+def sequential_remix(omega, budget, seed, floor):
+    """Reference: the remix search run one trial after another.
+
+    Returns (k, ensemble, improvements as (trial, k), trials run).
+    """
+    from schmlab.schmidt import _columns_max_sr, _ensemble_from_columns, _schmidt_factors
+
+    dims = omega.dims
+    best_k, best_ens = sn_upper_bound(omega, budget=0)
+    improvements, trial = [], -1
+    vals, vecs = eigh(omega.matrix)
+    rank = max(1, int(np.count_nonzero(vals > 1e-12)))
+    factor = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
+    for trial in range(budget if best_k > max(1, floor) else 0):
+        size = rank + trial % (rank + 1)
+        rng = rng_for(seed, f"sn_upper/remix/{trial}")
+        g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+        co_iso = np.linalg.qr(g)[0].conj().T
+        cols = factor @ co_iso
+        for _ in range(60):
+            a, bh = _schmidt_factors(cols.T.reshape(size, dims.dimA, dims.dimB), best_k - 1)
+            truncated = (a @ bh).reshape(size, -1).T
+            u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
+            new_cols = factor @ (u @ vh)
+            if np.linalg.norm(new_cols - cols) < 1e-12:
+                cols = new_cols
+                break
+            cols = new_cols
+        k = _columns_max_sr(cols, dims, DEFAULT_TOL)
+        if k < best_k:
+            best_k, best_ens = k, _ensemble_from_columns(cols, dims)
+            improvements.append((trial, k))
+            if best_k <= max(1, floor):
+                break
+    return best_k, best_ens, improvements, trial + 1
+
+
+def bare_mixture(rng, d, r):
+    mix = random_sr_mixture(rng, BipartiteDims(d, d), r, 3)
+    return DensityMatrix(mix.matrix, mix.dims)
+
+
+@pytest.mark.parametrize("make, budget, seed, floor, improvements, trials", [
+    # Nothing improves on the eigen-ensemble: every chunk is read in full.
+    (lambda: bare_mixture(rng_for(0, "schmidt/remix-bare"), 3, 2), 40, 0, 1, [], 40),
+    # An improvement at trial 1; the rest of the run polishes toward rank 1.
+    (lambda: isotropic_state(3, 0.2), 100, 0, 1, [(1, 2)], 100),
+    (lambda: isotropic_state(3, 0.5), 100, 0, 1, [(6, 2)], 100),
+    # The floor stops the search at its first improvement.
+    (lambda: isotropic_state(3, 0.5), 100, 0, 2, [(6, 2)], 7),
+    # Trial 5 improves inside the chunk of trials 3..6; trial 6 improves
+    # again only when it is polished anew toward the lower target.
+    (lambda: bare_mixture(rng_for(3, "schmidt/remix-4x4"), 4, 1), 64, 3, 1, [(5, 2), (6, 1)], 7),
+], ids=["no-improvement", "trial-1", "trial-6", "floor-stop", "chunk-tail"])
+def test_remix_batches_match_sequential_trials(make, budget, seed, floor,
+                                               improvements, trials):
+    omega = make()
+    k, ens = sn_upper_bound(omega, budget=budget, seed=seed, floor=floor)
+    ref_k, ref_ens, ref_improvements, ref_trials = sequential_remix(omega, budget, seed, floor)
+    assert (ref_improvements, ref_trials) == (improvements, trials)
+    assert k == ref_k and len(ens) == len(ref_ens)
+    for (w, psi), (ref_w, ref_psi) in zip(ens, ref_ens):
+        assert np.array_equal(w, ref_w)
+        assert np.array_equal(psi.amplitudes, ref_psi.amplitudes)
 
 
 def test_eigen_ensemble_reconstructs():
