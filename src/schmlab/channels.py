@@ -135,8 +135,7 @@ def kraus_to_choi(channel: QuantumChannel,
 
 
 def choi_to_kraus(choi: DensityMatrix, psi_ref: Optional[PureState] = None,
-                  tol: RankTolerance = DEFAULT_TOL,
-                  marginal_tol: float = 1e-8) -> list[np.ndarray]:
+                  tol: RankTolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators of the channel whose Choi state this is.
 
     Eigenvectors of the Choi matrix are unvectorized against the reference
@@ -151,7 +150,7 @@ def choi_to_kraus(choi: DensityMatrix, psi_ref: Optional[PureState] = None,
     ref_reduced = linalg.partial_trace(psi_ref.projector(), psi_ref.dims, "A")
     marginal = linalg.partial_trace(choi.matrix, choi.dims, "A")
     deviation = np.linalg.norm(marginal - ref_reduced)
-    if deviation > marginal_tol:
+    if deviation > 1e-8:
         raise ValidationError(
             f"Choi marginal deviates from the reference state by {deviation:.3e}"
         )
@@ -191,13 +190,9 @@ def certify_peb(channel: QuantumChannel, budget: int = 500, seed: int = 0,
                 tol: RankTolerance = DEFAULT_TOL,
                 psi_ref: Optional[PureState] = None) -> PEBCertificate:
     """Certify PEB order through the Schmidt number of the Choi state."""
+    choi = channel.choi(psi_ref)
     if psi_ref is None:
         psi_ref = maximally_entangled(channel.dim_in)
-    choi = channel.choi() if psi_ref.dims == BipartiteDims(
-        channel.dim_in, channel.dim_in
-    ) and np.allclose(
-        psi_ref.amplitudes, maximally_entangled(channel.dim_in).amplitudes
-    ) else kraus_to_choi(channel, psi_ref)
     cert = schmidt.certify(choi, budget=budget, seed=seed, tol=tol)
     return PEBCertificate(k_peb_upper=cert.upper, k_peb_lower=cert.lower,
                           evidence=cert, reference=psi_ref)

@@ -26,6 +26,9 @@ PROFILE_DECAY = 0.7
 # Every coefficient of a generated Fourier vector must clear this floor.
 NONVANISHING_FLOOR = 1e-6
 
+# Phase randomizations orthogonal_fourier_family tries after the first build.
+FAMILY_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class FourierVector:
@@ -50,9 +53,6 @@ class FourierVector:
 
     def min_coefficient(self) -> float:
         return float(np.min(np.abs(self.coefficients)))
-
-    def is_nonvanishing(self, floor: float = NONVANISHING_FLOOR) -> bool:
-        return self.min_coefficient() >= floor
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ def fourier_profile(m: int, decay: float = PROFILE_DECAY) -> FourierVector:
 
 
 def orthogonal_fourier_family(k: int, m: int, decay: float = PROFILE_DECAY,
-                              floor: float = NONVANISHING_FLOOR, seed: int = 0,
-                              max_retries: int = 100) -> list[FourierVector]:
+                              seed: int = 0) -> list[FourierVector]:
     """k orthonormal vectors, every mode coefficient nonzero.
 
     Gram-Schmidt over the decay profile modulated by the k lowest discrete
@@ -108,11 +107,13 @@ def orthogonal_fourier_family(k: int, m: int, decay: float = PROFILE_DECAY,
     floor, the phases are randomized and the construction retried.
     """
     dim = 2 * m + 1
-    if not 1 <= k <= dim:
+    if k < 1:
+        raise ValidationError(f"family size must be >= 1, got {k}")
+    if k > dim:
         raise ValidationError(f"family size {k} exceeds dimension {dim}")
     profile = fourier_profile(m, decay).coefficients
     idx = np.arange(dim)
-    for attempt in range(max_retries + 1):
+    for attempt in range(FAMILY_RETRIES + 1):
         columns = np.empty((dim, k), dtype=np.complex128)
         for j in range(k):
             phases = 2.0 * np.pi * j * idx / dim
@@ -124,12 +125,12 @@ def orthogonal_fourier_family(k: int, m: int, decay: float = PROFILE_DECAY,
         diag = np.diagonal(r).copy()
         diag /= np.abs(diag)
         q = q * diag  # pin phases so column 0 is the profile itself
-        if np.min(np.abs(q)) >= floor:
+        if np.min(np.abs(q)) >= NONVANISHING_FLOOR:
             return [FourierVector(q[:, j] / np.linalg.norm(q[:, j]), m)
                     for j in range(k)]
     raise ValidationError(
         f"could not build {k} nonvanishing orthogonal vectors at m={m} "
-        f"within {max_retries} retries"
+        f"within {FAMILY_RETRIES} retries"
     )
 
 
@@ -156,8 +157,7 @@ def build_rotation_state(phi1: FourierVector, phi2: FourierVector,
 
 
 def build_sn_k_state(left: Sequence[FourierVector], right: Sequence[FourierVector],
-                     grid: RotationGrid,
-                     orthogonality_tol: float = 1e-8) -> DensityMatrix:
+                     grid: RotationGrid) -> DensityMatrix:
     """Grid average of rotated copies of the rank-k entangled seed vector.
 
     The seed is (1/sqrt(k)) sum_i left_i ⊗ right_i ⊗ |i>, rotated by
@@ -175,7 +175,7 @@ def build_sn_k_state(left: Sequence[FourierVector], right: Sequence[FourierVecto
         stack = np.stack([v.coefficients for v in family], axis=1)
         gram = stack.conj().T @ stack
         off = np.max(np.abs(gram - np.eye(k)))
-        if off > orthogonality_tol:
+        if off > 1e-8:
             raise ValidationError(
                 f"{name} family is not orthonormal (deviation {off:.3e})"
             )

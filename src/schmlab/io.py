@@ -116,12 +116,10 @@ def _load_json(path: Path, data: bytes) -> dict:
     return doc
 
 
-def save_state(state: State, path, provenance: dict | None = None,
-               binary: bool | None = None):
+def save_state(state: State, path, provenance: dict | None = None):
+    """Write a state; the suffix ``.bin`` or ``.schm`` selects the binary format."""
     path = Path(path)
-    if binary is None:
-        binary = path.suffix.lower() in {".bin", ".schm"}
-    if binary:
+    if path.suffix.lower() in {".bin", ".schm"}:
         path.write_bytes(state_to_bytes(state))
     else:
         path.write_text(json.dumps(state_to_dict(state, provenance),
@@ -238,8 +236,7 @@ def witness_to_dict(witness: WitnessOperator) -> dict:
     }
 
 
-def certificate_to_dict(cert: SchmidtCertificate,
-                        include_members: bool = True) -> dict:
+def certificate_to_dict(cert: SchmidtCertificate) -> dict:
     evidence = None
     if cert.lower_evidence is not None:
         evidence = {"t": cert.lower_evidence.t,
@@ -247,10 +244,8 @@ def certificate_to_dict(cert: SchmidtCertificate,
     upper = {
         "max_schmidt_rank": cert.upper,
         "weights": [w for w, _ in cert.upper_evidence],
+        "members": [complex_to_pairs(psi.amplitudes) for _, psi in cert.upper_evidence],
     }
-    if include_members:
-        upper["members"] = [complex_to_pairs(psi.amplitudes)
-                            for _, psi in cert.upper_evidence]
     return {
         "kind": "schmidt",
         "lower": cert.lower,

@@ -38,9 +38,6 @@ CERT_MARGIN = 1e-9
 # Shift for the shift-and-invert descent in min_overlap_sr.
 OVERLAP_SHIFT = 1e-3
 
-# Total dimension up to which min_overlap_sr also runs the dense oracle.
-DENSE_ORACLE_LIMIT = 16
-
 
 def _schmidt_factors(stack: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r Schmidt factors of a (..., dA, dB) stack of coefficient matrices.
@@ -324,17 +321,17 @@ def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
 
 
 def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
-                   iters: int = 150, seed: int = 0,
-                   dense_limit: int = DENSE_ORACLE_LIMIT) -> tuple[float, PureState]:
+                   seed: int = 0) -> tuple[float, PureState]:
     """epsilon = min <phi|P|phi> over pure phi with Schmidt rank <= r.
 
-    Main path: multi-start alternating descent that pushes toward the
-    bottom of P by shift-and-invert, then SVD-truncates back to Schmidt
-    rank r.  All restarts descend together as rows of one array; a row
-    freezes once its value settles.  At total dimension <= `dense_limit`
-    the independent grid + polish oracle also runs and the smaller value
-    wins.  The landscape is nonconvex; the result is the best local value
-    found, reproducible for a fixed seed.
+    Multi-start alternating descent that pushes toward the bottom of P by
+    shift-and-invert, then SVD-truncates back to Schmidt rank r; all
+    restarts descend together as rows of one array, and a row freezes once
+    its value settles.  The descent alone can stop above the minimum, so
+    every row is then finished by the exact alternating minimization of
+    `_seesaw_min_overlap`, started from that row's B factor.  The first
+    minimum over the finished rows wins.  The landscape is nonconvex; the
+    result is the best local value found, reproducible for a fixed seed.
     """
     p = linalg.hermitize(p)
     if p.shape[0] != dims.total:
@@ -345,6 +342,7 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         vals, vecs = linalg.eigh(p)
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
+    dA, dB = dims.dimA, dims.dimB
     resolvent_t = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total)).T
     phis = np.stack([
         random_sr_pure_state(rng_for(seed, f"min_overlap/{i}"), dims, r).amplitudes
@@ -352,9 +350,8 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
     ])
     values = np.einsum("ij,ij->i", phis.conj(), phis @ p.T).real
     active = np.arange(restarts)
-    for _ in range(iters):
-        a, bh = _schmidt_factors((phis[active] @ resolvent_t).reshape(
-            -1, dims.dimA, dims.dimB), r)
+    for _ in range(150):
+        a, bh = _schmidt_factors((phis[active] @ resolvent_t).reshape(-1, dA, dB), r)
         step = (a @ bh).reshape(active.size, -1)
         step /= np.linalg.norm(step, axis=1, keepdims=True)
         step_values = np.einsum("ij,ij->i", step.conj(), step @ p.T).real
@@ -364,15 +361,10 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         if active.size == 0:
             break
 
-    best_index = int(np.argmin(values))  # first minimum: lowest restart index
-    best = (float(values[best_index]), PureState(phis[best_index], dims))
-
-    if dims.total <= dense_limit:
-        oracle = min_overlap_grid(p, r, dims, samples=max(restarts, 128),
-                                  seed=derive_seed(seed, "min_overlap/oracle"))
-        if oracle[0] < best[0]:
-            best = oracle
-    return best
+    frames = _schmidt_factors(phis.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
+    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
+    best = int(np.argmin(values))  # first minimum: lowest restart index
+    return float(values[best]), PureState(phis[best], dims)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +690,9 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     greedy step stalls, the pool weights are reallocated exactly by a
     small packing program; the loop ends when reallocation stops helping,
     several consecutive rounds find nothing above 1e-6, or the
-    budget of search restarts is spent.
+    budget of search restarts is spent.  A pure input is the only member
+    of any decomposition of itself, so one of Schmidt rank above k-1 is
+    returned as its own edge (p = 1) before any round.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
@@ -707,11 +701,15 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         return EdgeDecomposition(p=0.0, within=omega, edge=None,
                                  removed=omega.ensemble, rounds=0)
 
+    omega_support, _, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    if omega_support.shape[1] == 1 and schmidt_rank(
+            PureState.normalized(omega_support[:, 0], omega.dims), tol) > r:
+        return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
+
     pool: list[np.ndarray] = []
     weights = np.zeros(0)
     pool_cap = 64
     remainder = omega.matrix.copy()
-    omega_support, _, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
     full_rank = omega_support.shape[1] == omega.dims.total
 
     def admit(phi: np.ndarray) -> Optional[np.ndarray]:

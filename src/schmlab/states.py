@@ -2,8 +2,7 @@
 
 Schmidt decomposition and rank, purification, finite-rank truncation and
 local filtering.  All state objects are immutable value types; the Schmidt
-cache of a pure state is computed at most once and is safe to read from
-several threads (recomputation is idempotent, assignment is atomic).
+cache of a pure state is computed at most once.
 """
 
 from __future__ import annotations

@@ -134,6 +134,17 @@ def test_certify_peb_depolarizing():
     assert (cert.k_peb_lower, cert.k_peb_upper) == (1, 1)
 
 
+def test_certify_peb_keeps_a_near_maxent_reference():
+    # A reference within np.allclose of maxent is still the reference used.
+    rng = rng_for(15, "channels/near-maxent")
+    amp = maximally_entangled(3).amplitudes + 3e-9 * rng.normal(size=9)
+    psi_ref = PureState.normalized(amp, BipartiteDims(3, 3))
+    cert = certify_peb(identity_channel(3), budget=20, seed=0, psi_ref=psi_ref)
+    assert cert.reference is psi_ref
+    rebuilt = sum(w * psi.projector() for w, psi in cert.evidence.upper_evidence)
+    assert np.linalg.norm(rebuilt - psi_ref.projector()) <= 1e-12
+
+
 def test_certify_peb_kraus_rank_bound():
     rng = rng_for(5, "channels/rankbound")
     for k in (1, 2, 3):

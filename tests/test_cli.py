@@ -139,10 +139,17 @@ def test_build_rotation_separable(tmp_path):
     assert doc["certificate"]["lower"] == 1
 
 
-def test_build_bad_parameters_exit_2(tmp_path):
+def test_build_bad_parameters_exit_2(tmp_path, capsys):
     proc = run_cli("build", "isotropic", "--d", 3, "--fidelity", 1.5,
                    "--out", tmp_path / "x.json")
     assert proc.returncode == 2
+    out = tmp_path / "snk.json"
+    for argv in (["build", "snk", "--out", str(out)],
+                 ["analyze-state", "--recipe", "snk", "--json", str(out)]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--k", "0"]) == 2
+        assert "family size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["build", "analyze-state"])

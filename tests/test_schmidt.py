@@ -270,31 +270,34 @@ def test_schmidt_factors_match_per_matrix_truncation():
 
 
 def test_min_overlap_sr_matches_per_restart_descent():
-    # All restarts descend together as rows of one array; the result must
-    # match running each restart on its own with a direct solve.
-    from schmlab.schmidt import OVERLAP_SHIFT, min_overlap_sr
+    # All restarts descend together as rows of one array and are then
+    # finished by one batched seesaw; the result must match running each
+    # restart on its own with a direct solve and a one-row seesaw.
+    from schmlab.schmidt import OVERLAP_SHIFT, _seesaw_min_overlap, min_overlap_sr
 
     dims = BipartiteDims(3, 3)
     rng = rng_for(13, "schmidt/overlap-reference")
     q, _ = np.linalg.qr(rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)))
     p = q @ q.conj().T  # rank-6 projector: no product state in its kernel
-    r, restarts, iters, seed = 1, 16, 150, 3
-    value, argmin = min_overlap_sr(p, r, dims, restarts=restarts, iters=iters,
-                                   seed=seed, dense_limit=0)
+    r, restarts, seed = 1, 16, 3
+    value, argmin = min_overlap_sr(p, r, dims, restarts=restarts, seed=seed)
 
     shifted = p + OVERLAP_SHIFT * np.eye(dims.total)
     reference = []
     for restart in range(restarts):
         phi = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, r).amplitudes
         current = np.vdot(phi, p @ phi).real
-        for _ in range(iters):
+        for _ in range(150):
             u, s, vh = np.linalg.svd(np.linalg.solve(shifted, phi).reshape(3, 3))
             phi = ((u[:, :r] * s[:r]) @ vh[:r, :]).reshape(-1)
             phi /= np.linalg.norm(phi)
             previous, current = current, np.vdot(phi, p @ phi).real
             if abs(current - previous) < 1e-14:
                 break
-        reference.append(current)
+        frame = np.linalg.svd(phi.reshape(3, 3))[2][:r, :].T
+        finished = _seesaw_min_overlap(p.reshape(3, 3, 3, 3), dims, r, frame[None], 80)[0]
+        assert finished[0] <= current + 1e-12
+        reference.append(finished[0])
     assert value > 1e-3
     assert value == pytest.approx(min(reference), abs=1e-12)
     assert np.vdot(argmin.amplitudes, p @ argmin.amplitudes).real == pytest.approx(value, abs=1e-12)

@@ -80,6 +80,19 @@ def test_min_overlap_full_rank_bound_is_min_eig():
     assert eps == pytest.approx(float(np.linalg.eigvalsh(p)[0]), abs=1e-9)
 
 
+def test_min_overlap_sr_reaches_grid_minimum_above_16():
+    # At total dimension 20 the shift-and-invert descent alone stopped
+    # 4.9e-8 above the minimum, which would overstate eps for a witness.
+    dims = BipartiteDims(4, 5)
+    delta = random_density_matrix(rng_for(38, "witness/overshoot"), dims, rank=8)
+    vals, vecs = np.linalg.eigh(delta.matrix)
+    kernel = vecs[:, vals < 1e-10]
+    p = kernel @ kernel.conj().T
+    eps, phi = min_overlap_sr(p, 1, dims, restarts=64, seed=0)
+    assert eps <= min_overlap_grid(p, 1, dims, samples=128, seed=1)[0] + 1e-12
+    assert schmidt_rank(phi) == 1
+
+
 def test_grid_oracle_agrees_on_bell():
     dims = BipartiteDims(2, 2)
     p = np.eye(4) - maximally_entangled(2).projector()
@@ -195,6 +208,7 @@ def test_edge_decompose_pure_high_rank():
     psi = random_sr_pure_state(rng, dims, 3)
     dec = edge_decompose(DensityMatrix.from_pure(psi), k=3, budget=200, seed=0)
     assert dec.p == 1.0
+    assert dec.rounds == 0
     assert dec.within is None
     assert np.linalg.norm(dec.edge.matrix - psi.projector()) <= 1e-10
 
