@@ -38,6 +38,10 @@ CERT_MARGIN = 1e-9
 # Shift for the shift-and-invert descent in min_overlap_sr.
 OVERLAP_SHIFT = 1e-3
 
+# Iterations one remix trial may polish before it counts as capped.
+REMIX_CAP = 10000
+REMIX_STATUSES = ("converged", "stalled", "capped")
+
 
 def _schmidt_factors(stack: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r Schmidt factors of a (..., dA, dB) stack of coefficient matrices.
@@ -117,31 +121,41 @@ def ensemble_max_sr(members: Sequence[tuple[float, PureState]],
     return max(schmidt_rank(psi, tol) for _, psi in members)
 
 
-def _ensemble_from_columns(cols: np.ndarray, dims: BipartiteDims) -> Ensemble:
-    members = []
-    for j in range(cols.shape[1]):
-        w = float(np.vdot(cols[:, j], cols[:, j]).real)
-        if w > 1e-14:
-            members.append((w, PureState.normalized(cols[:, j], dims)))
-    total = sum(w for w, _ in members)
-    return tuple((w / total, psi) for w, psi in members)
+def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Optional[Ensemble]:
+    """Members of `cols` truncated to Schmidt rank `target`, if they rebuild omega.
 
-
-def _columns_max_sr(cols: np.ndarray, dims: BipartiteDims, tol: RankTolerance) -> int:
-    """`ensemble_max_sr` of `_ensemble_from_columns(cols)`, on raw arrays."""
-    members = [c / np.linalg.norm(c) for c in cols.T if np.vdot(c, c).real > 1e-14]
-    s = np.linalg.svd(np.reshape(members, (-1, dims.dimA, dims.dimB)),
-                      full_matrices=False)[1]
-    return int(np.max(np.count_nonzero(s >= tol.rel_cutoff * s[:, :1], axis=1)))
+    The truncated members have rank at most `target` exactly; the ensemble
+    is returned only if it reconstructs omega within the trace distance
+    every attached ensemble must meet, else None.
+    """
+    dims = omega.dims
+    a, bh = _schmidt_factors(cols.T.reshape(-1, dims.dimA, dims.dimB), target)
+    members = (a @ bh).reshape(cols.shape[1], -1)
+    weights = np.linalg.norm(members, axis=1) ** 2
+    keep = weights > 1e-14
+    total = weights[keep].sum()
+    ensemble = [(w / total, PureState.normalized(m, dims))
+                for w, m in zip(weights[keep], members[keep])]
+    try:
+        return omega.with_ensemble(ensemble).ensemble
+    except ValidationError:  # the rebuild misses omega by more than 1e-8
+        return None
 
 
 def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
-                  trials: range) -> list[np.ndarray]:
-    """Polished (dims.total, size) member columns of each remix trial, in order.
+                  trials: range, cap: int) -> list[tuple[np.ndarray, str, int]]:
+    """Polish each remix trial toward Schmidt rank `target`, in trial order.
 
-    Trials of one size polish together as rows of one stack; each row
-    freezes once its step falls below 1e-12.  Every row gives the same bits
-    as polishing that trial on its own.
+    Returns ``(cols, status, iterations)`` per trial: the (dims.total, size)
+    member columns and why the row stopped after that many iterations.
+    "converged": every member's Schmidt tail beyond `target`, relative to
+    its norm, is below 1e-10.  "stalled": the last step moved the columns by
+    less than 1e-12, or the largest tail fell by less than 10 % over the last
+    100 iterations.  "capped": the row ran `cap` iterations.  Each iteration
+    truncates the members, tests them, and refits a row that goes on.
+    Trials of one size polish together as rows of one stack and each row
+    stops on its own, so every row gives the same bits as polishing that
+    trial alone.
     """
     rank = factor.shape[1]
     factor_h = factor.conj().T
@@ -157,19 +171,41 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
         # rank x size co-isometries, co_iso @ co_iso† = I
         co_iso = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
         cols = factor @ co_iso
+        iters = np.zeros(len(group), dtype=int)
+        stopped = np.full(len(group), -1)  # index into REMIX_STATUSES once stopped
+        settled = np.zeros(len(group), dtype=bool)
+        checkpoint = np.full(len(group), np.inf)
         active = np.arange(len(group))
-        for _ in range(60):
-            a, bh = _schmidt_factors(
-                cols[active].transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB), target)
-            truncated = (a @ bh).reshape(active.size, size, -1).transpose(0, 2, 1)
+        while active.size:
+            u, s, vh = np.linalg.svd(
+                cols[active].transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
+                full_matrices=False)
+            s2 = (s * s).reshape(active.size, size, -1)
+            norm2, tail2 = s2.sum(axis=2), s2[..., target:].sum(axis=2)
+            # Members the exact acceptance drops (weight <= 1e-14) count as converged.
+            largest2 = np.divide(tail2, norm2, out=np.zeros_like(tail2),
+                                 where=norm2 > 1e-14).max(axis=1)
+            done = iters[active]
+            mark = done % 100 == 0
+            stop = np.select(
+                [largest2 < 1e-20,
+                 settled[active] | (mark & (largest2 > 0.81 * checkpoint[active])),
+                 done + 1 >= cap], [0, 1, 2], -1)
+            checkpoint[active[mark]] = largest2[mark]
+            iters[active] += 1
+            stopped[active] = stop
+            going = stop < 0
+            truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
+                         ).reshape(active.size, size, -1).transpose(0, 2, 1)[going]
+            active = active[going]
+            if not active.size:
+                break
             u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
             new_cols = factor @ (u @ vh)
-            moving = np.linalg.norm(new_cols - cols[active], axis=(1, 2)) >= 1e-12
+            settled[active] = np.linalg.norm(new_cols - cols[active], axis=(1, 2)) < 1e-12
             cols[active] = new_cols
-            active = active[moving]
-            if active.size == 0:
-                break
-        polished.update(zip(group, cols))
+        polished.update(zip(group, zip(cols, (REMIX_STATUSES[i] for i in stopped),
+                                       iters.tolist())))
     return [polished[trial] for trial in trials]
 
 
@@ -179,19 +215,26 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                    floor: int = 1) -> tuple[int, Ensemble]:
     """Best decomposition found: (max member Schmidt rank, ensemble).
 
-    Candidates: the eigen-ensemble, any ensemble attached to the state,
-    any caller hints (validated), and `budget` randomized remixings of the
-    eigenbasis.  A remix draws a Haar co-isometry U (all ensembles of a
+    Candidates: the eigen-ensemble, any ensemble attached to the state and
+    any caller hints (validated); the best of them sets `best_k`.  Then the
+    remix searches for an exact decomposition at each target rank from
+    `max(1, floor)` up to `best_k - 1`, in ascending order, where `floor` is
+    a known lower bound on the Schmidt number (no target below it can
+    succeed).  A remix trial draws a Haar co-isometry U (all ensembles of a
     state arise this way) and then alternates SVD truncation of the members
     with an orthogonal-Procrustes refit, steering the ensemble toward
-    members of lower Schmidt rank while reconstructing omega exactly.
-    Trials polish together in index-ordered chunks of 1, 2, 4, ... up to 64
-    (back to 1 after each improvement).  Results are read in trial order and
-    the first improving trial wins; the later trials of its chunk are polished
-    again toward the new target, so the outcome is that of running the trials
-    one after another.  `floor` is a known lower bound on the Schmidt number;
-    the remix search stops once it is reached, since no decomposition can
-    beat it.
+    members of Schmidt rank <= target while reconstructing omega exactly.
+
+    The search spends `budget * 60` row-iterations.  Each target gets the
+    budget left divided by the number of targets left; its trials start at
+    0 and polish together in index-ordered chunks of 1, 2, 4, ... up to 64,
+    each row capped at `REMIX_CAP` iterations or at what is left of the
+    target's share, whichever is less.  Results are read in trial order and
+    charged their iterations until the share is spent.  A converged trial is
+    accepted if its members, truncated to rank `target` and renormalized,
+    rebuild omega within trace distance 1e-8; the first accepted trial wins,
+    so its members have Schmidt rank <= target exactly and a fixed seed
+    always gives the same result.
     """
     dims = omega.dims
     candidates: list[Ensemble] = [eigen_ensemble(omega)]
@@ -210,16 +253,24 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     rank = max(1, int(np.count_nonzero(vals > 1e-12)))
     factor = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))  # M M† = omega
 
-    trial, chunk = 0, 1
-    while trial < budget and best_k > max(1, floor):
-        trials = range(trial, min(trial + chunk, budget))
-        trial, chunk = trials.stop, min(2 * chunk, 64)
-        for index, cols in zip(trials, _remix_polish(factor, dims, best_k - 1, seed, trials)):
-            k = _columns_max_sr(cols, dims, tol)
-            if k < best_k:
-                best_k, best_ens = k, _ensemble_from_columns(cols, dims)
-                trial, chunk = index + 1, 1
-                break
+    targets = range(max(1, floor), best_k)
+    left = budget * 60
+    for target in targets:
+        share, used = left // (targets.stop - target), 0
+        trial, chunk = 0, 1
+        while used < share:
+            trials = range(trial, trial + chunk)
+            trial, chunk = trials.stop, min(2 * chunk, 64)
+            rows = _remix_polish(factor, dims, target, seed, trials,
+                                 min(REMIX_CAP, share - used))
+            for cols, status, iters in rows:
+                ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
+                if ensemble is not None:
+                    return target, ensemble
+                used += iters
+                if used >= share:
+                    break
+        left -= used
     return best_k, best_ens
 
 
@@ -227,9 +278,11 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
 class SchmidtCertificate:
     """Two-sided Schmidt number certificate.
 
-    ``lower <= SN(state) <= upper`` whenever ``consistent`` is true;
-    a false flag marks the (never silently hidden) case where the
-    heuristic upper-bound search failed to reach the certified lower bound.
+    The lower bound is sound by construction and the upper bound rests on
+    an explicit decomposition, so ``lower <= SN(state) <= upper``.  A false
+    ``consistent`` flag means ``upper < lower``: one of the bounds is
+    unsound, which is never hidden.  A search that stopped above the
+    certified floor shows up as ``upper > lower`` with ``consistent`` true.
     """
 
     lower: int

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schmlab.constructions import isotropic_state
-from schmlab.linalg import BipartiteDims, eigh, min_eigenvalue, partial_trace
+from schmlab.linalg import BipartiteDims, eigh, min_eigenvalue, partial_trace, trace_distance
 from schmlab.sampling import (
     random_density_matrix,
     random_sr_mixture,
@@ -23,7 +23,6 @@ from schmlab.schmidt import (
     witness_from_lambda,
 )
 from schmlab.states import (
-    DEFAULT_TOL,
     DensityMatrix,
     PureState,
     maximally_entangled,
@@ -135,41 +134,115 @@ def test_sn_upper_maximally_mixed():
     assert np.linalg.norm(mix - omega.matrix) <= 1e-10
 
 
+def assert_exact_evidence(omega, ens, r):
+    mix = sum(w * psi.projector() for w, psi in ens)
+    assert trace_distance(mix, omega.matrix) <= 1e-8
+    assert all(schmidt_rank(psi) <= r for _, psi in ens)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_sn_upper_reaches_generating_rank(d, r, seed):
+    # Bare mixtures of three Schmidt-rank-r states: the remix, aimed at the
+    # certified floor, must find a decomposition at the generating rank.
+    # (3, 2) seed 0 converges only at trial 1 after 4351 iterations, above a
+    # cap of 3000.
+    dims = BipartiteDims(d, d)
+    mix = random_sr_mixture(rng_for(seed, f"schmidt/generating/{d}x{d}-r{r}"), dims, r, 3)
+    omega = DensityMatrix(mix.matrix, dims)
+    cert = certify(omega, budget=500)
+    assert (cert.lower, cert.upper) == (r, r)
+    assert_exact_evidence(omega, cert.upper_evidence, r)
+
+
+def tiles_upb_state():
+    e = np.eye(3)
+    tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+             (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
+    vecs = [np.kron(a, b) / np.linalg.norm(np.kron(a, b)) for a, b in tiles]
+    return DensityMatrix((np.eye(9) - sum(np.outer(v, v) for v in vecs)) / 4,
+                         BipartiteDims(3, 3))
+
+
+def test_sn_upper_above_a_loose_floor():
+    # The 3x3 tiles UPB state (Bennett et al., PRL 82, 5385 (1999)) is PPT,
+    # so the Lambda scan certifies only 1, yet its Schmidt number is 2: the
+    # target-1 rows fail and target 2 must still be reached.
+    omega = tiles_upb_state()
+    assert sn_lower_bound(omega)[0] == 1
+    upper, ens = sn_upper_bound(omega, budget=50, seed=0, floor=1)
+    assert upper == 2
+    assert_exact_evidence(omega, ens, 2)
+
+
+def remix_factor(omega):
+    """M with M M† = omega, from the eigenvectors of nonzero eigenvalues."""
+    vals, vecs = eigh(omega.matrix)
+    rank = max(1, int(np.count_nonzero(vals > 1e-12)))
+    return vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
+
+
+def polish_one_trial(factor, dims, target, seed, trial, cap):
+    """Reference: polish one remix trial on its own; (cols, status, iterations)."""
+    rank = factor.shape[1]
+    size = rank + trial % (rank + 1)
+    rng = rng_for(seed, f"sn_upper/remix/{trial}")
+    g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    cols = factor @ np.linalg.qr(g)[0].conj().T
+    settled, checkpoint = False, np.inf
+    for done in range(cap):
+        u, s, vh = np.linalg.svd(cols.T.reshape(size, dims.dimA, dims.dimB),
+                                 full_matrices=False)
+        tails = [np.sum(row[target:] * row[target:]) / np.sum(row * row)
+                 for row in s if np.sum(row * row) > 1e-14]
+        largest = max(tails, default=0.0)
+        if largest < 1e-20:
+            return cols, "converged", done + 1
+        if settled or (done % 100 == 0 and largest > 0.81 * checkpoint):
+            return cols, "stalled", done + 1
+        if done + 1 >= cap:
+            return cols, "capped", done + 1
+        if done % 100 == 0:
+            checkpoint = largest
+        truncated = ((u[..., :target] * s[:, None, :target]) @ vh[:, :target, :]
+                     ).reshape(size, -1).T
+        u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
+        new_cols = factor @ (u @ vh)
+        settled = np.linalg.norm(new_cols - cols, axis=(0, 1)) < 1e-12
+        cols = new_cols
+
+
 def sequential_remix(omega, budget, seed, floor):
     """Reference: the remix search run one trial after another.
 
-    Returns (k, ensemble, improvements as (trial, k), trials run).
+    Targets ascend from the floor; each gets the budget left over the
+    targets left, its trials restart at 0, and every trial of a chunk
+    (1, 2, 4, ... 64 trials) is capped at what was left of the share when
+    the chunk began.  Returns (k, ensemble, accepted (trial, k) pairs,
+    trials read).
     """
-    from schmlab.schmidt import _columns_max_sr, _ensemble_from_columns, _schmidt_factors
+    from schmlab.schmidt import REMIX_CAP, _exact_ensemble
 
     dims = omega.dims
     best_k, best_ens = sn_upper_bound(omega, budget=0)
-    improvements, trial = [], -1
-    vals, vecs = eigh(omega.matrix)
-    rank = max(1, int(np.count_nonzero(vals > 1e-12)))
-    factor = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
-    for trial in range(budget if best_k > max(1, floor) else 0):
-        size = rank + trial % (rank + 1)
-        rng = rng_for(seed, f"sn_upper/remix/{trial}")
-        g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-        co_iso = np.linalg.qr(g)[0].conj().T
-        cols = factor @ co_iso
-        for _ in range(60):
-            a, bh = _schmidt_factors(cols.T.reshape(size, dims.dimA, dims.dimB), best_k - 1)
-            truncated = (a @ bh).reshape(size, -1).T
-            u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
-            new_cols = factor @ (u @ vh)
-            if np.linalg.norm(new_cols - cols) < 1e-12:
-                cols = new_cols
-                break
-            cols = new_cols
-        k = _columns_max_sr(cols, dims, DEFAULT_TOL)
-        if k < best_k:
-            best_k, best_ens = k, _ensemble_from_columns(cols, dims)
-            improvements.append((trial, k))
-            if best_k <= max(1, floor):
-                break
-    return best_k, best_ens, improvements, trial + 1
+    factor = remix_factor(omega)
+    left, read = budget * 60, 0
+    for target in range(max(1, floor), best_k):
+        share, used = left // (best_k - target), 0
+        trial, chunk_end, chunk = 0, 0, 1
+        while used < share:
+            if trial == chunk_end:
+                cap = min(REMIX_CAP, share - used)
+                chunk_end, chunk = chunk_end + chunk, min(2 * chunk, 64)
+            cols, status, iters = polish_one_trial(factor, dims, target, seed, trial, cap)
+            read += 1
+            ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
+            if ensemble is not None:
+                return target, ensemble, [(trial, target)], read
+            used += iters
+            trial += 1
+        left -= used
+    return best_k, best_ens, [], read
 
 
 def bare_mixture(rng, d, r):
@@ -177,28 +250,56 @@ def bare_mixture(rng, d, r):
     return DensityMatrix(mix.matrix, mix.dims)
 
 
-@pytest.mark.parametrize("make, budget, seed, floor, improvements, trials", [
-    # Nothing improves on the eigen-ensemble: every chunk is read in full.
-    (lambda: bare_mixture(rng_for(0, "schmidt/remix-bare"), 3, 2), 40, 0, 1, [], 40),
-    # An improvement at trial 1; the rest of the run polishes toward rank 1.
-    (lambda: isotropic_state(3, 0.2), 100, 0, 1, [(1, 2)], 100),
-    (lambda: isotropic_state(3, 0.5), 100, 0, 1, [(6, 2)], 100),
-    # The floor stops the search at its first improvement.
-    (lambda: isotropic_state(3, 0.5), 100, 0, 2, [(6, 2)], 7),
-    # Trial 5 improves inside the chunk of trials 3..6; trial 6 improves
-    # again only when it is polished anew toward the lower target.
-    (lambda: bare_mixture(rng_for(3, "schmidt/remix-4x4"), 4, 1), 64, 3, 1, [(5, 2), (6, 1)], 7),
-], ids=["no-improvement", "trial-1", "trial-6", "floor-stop", "chunk-tail"])
+@pytest.mark.parametrize("make, budget, seed, floor, accepted, trials", [
+    # SN 2 searched from floor 1 at a small budget: target 1 stalls until its
+    # share runs out inside the chunk of trials 7..14, and target 2 caps.
+    (lambda: bare_mixture(rng_for(0, "schmidt/remix-bare"), 3, 2), 40, 0, 1, [], 9),
+    # A separable state: target 1 converges at trial 0.
+    (lambda: isotropic_state(3, 0.2), 100, 0, 1, [(0, 1)], 1),
+    # SN 2 from floor 1: 23 target-1 trials stall, then target 2 converges.
+    (lambda: isotropic_state(3, 0.5), 100, 0, 1, [(0, 2)], 24),
+    # The same state from its certified floor skips target 1.
+    (lambda: isotropic_state(3, 0.5), 100, 0, 2, [(0, 2)], 1),
+    # A 4x4 product mixture: target 1 converges at trial 0.
+    (lambda: bare_mixture(rng_for(3, "schmidt/remix-4x4"), 4, 1), 64, 3, 1, [(0, 1)], 1),
+    # Trial 2 converges before trial 1 in the chunk of trials 1..2, but
+    # trial 1 comes first in trial order and wins.
+    (lambda: bare_mixture(rng_for(0, "schmidt/generating/3x3-r2"), 3, 2), 500, 0, 2,
+     [(1, 2)], 2),
+], ids=["no-improvement", "trial-1", "trial-6", "floor-stop", "chunk-tail", "trial-order"])
 def test_remix_batches_match_sequential_trials(make, budget, seed, floor,
-                                               improvements, trials):
+                                               accepted, trials):
     omega = make()
     k, ens = sn_upper_bound(omega, budget=budget, seed=seed, floor=floor)
-    ref_k, ref_ens, ref_improvements, ref_trials = sequential_remix(omega, budget, seed, floor)
-    assert (ref_improvements, ref_trials) == (improvements, trials)
+    ref_k, ref_ens, ref_accepted, ref_trials = sequential_remix(omega, budget, seed, floor)
+    assert (ref_accepted, ref_trials) == (accepted, trials)
     assert k == ref_k and len(ens) == len(ref_ens)
     for (w, psi), (ref_w, ref_psi) in zip(ens, ref_ens):
         assert np.array_equal(w, ref_w)
         assert np.array_equal(psi.amplitudes, ref_psi.amplitudes)
+
+
+@pytest.mark.parametrize("make, target, cap, statuses", [
+    # Rows that stop moving and rows that hit a small cap.
+    (tiles_upb_state, 1, 80, ["stalled", "capped", "capped", "capped",
+                              "capped", "stalled", "capped", "capped"]),
+    # A row whose tail stops falling, then rows that converge.
+    (lambda: bare_mixture(rng_for(0, "schmidt/generating/3x3-r2"), 3, 2), 2, 10000,
+     ["stalled", "converged", "converged"]),
+], ids=["stall-and-cap", "converge"])
+def test_remix_rows_match_single_trial_polish(make, target, cap, statuses):
+    from schmlab.schmidt import _remix_polish
+
+    omega = make()
+    factor = remix_factor(omega)
+    trials = range(len(statuses))
+    rows = _remix_polish(factor, omega.dims, target, 0, trials, cap)
+    assert [status for _, status, _ in rows] == statuses
+    for trial, (cols, status, iters) in zip(trials, rows):
+        ref_cols, ref_status, ref_iters = polish_one_trial(
+            factor, omega.dims, target, 0, trial, cap)
+        assert (status, iters) == (ref_status, ref_iters)
+        assert np.array_equal(cols, ref_cols)
 
 
 def test_eigen_ensemble_reconstructs():
