@@ -13,12 +13,11 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 from . import __version__, constructions, io, schmidt
 from .channels import certify_peb, kraus_rank_profile
 from .errors import NumericError, ValidationError
-from .states import DensityMatrix, PureState, RankTolerance, maximally_entangled
+from .states import PSD_FLOOR, DensityMatrix, PureState, RankTolerance, maximally_entangled
 
 EFFORT_BUDGETS = {"quick": 50, "default": 500, "thorough": 5000}
 
@@ -38,7 +37,7 @@ def _tolerances(args) -> tuple[RankTolerance, dict]:
     tol = RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
     snapshot = {
         "rank_rel_cutoff": tol.rel_cutoff,
-        "psd_floor": -1e-9,
+        "psd_floor": PSD_FLOOR,
         "certification_margin": schmidt.CERT_MARGIN,
     }
     return tol, snapshot
@@ -46,9 +45,7 @@ def _tolerances(args) -> tuple[RankTolerance, dict]:
 
 def _emit(report: dict, json_path: str | None):
     if json_path:
-        Path(json_path).write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n"
-        )
+        io.write_file(json_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
 
 def _builder_provenance(args, recipe: str) -> dict:

@@ -100,6 +100,15 @@ def _read(path: Path) -> bytes:
         raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}")
 
 
+def write_file(path, data: Union[str, bytes]):
+    """Write text or bytes to `path`; a failed write is a ValidationError."""
+    path = Path(path)
+    try:
+        path.write_bytes(data) if isinstance(data, bytes) else path.write_text(data)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write file: {exc.strerror or exc}")
+
+
 def _load_json(path: Path, data: bytes) -> dict:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -118,12 +127,11 @@ def _load_json(path: Path, data: bytes) -> dict:
 
 def save_state(state: State, path, provenance: dict | None = None):
     """Write a state; the suffix ``.bin`` or ``.schm`` selects the binary format."""
-    path = Path(path)
-    if path.suffix.lower() in {".bin", ".schm"}:
-        path.write_bytes(state_to_bytes(state))
+    if Path(path).suffix.lower() in {".bin", ".schm"}:
+        write_file(path, state_to_bytes(state))
     else:
-        path.write_text(json.dumps(state_to_dict(state, provenance),
-                                   sort_keys=True, indent=1) + "\n")
+        write_file(path, json.dumps(state_to_dict(state, provenance),
+                                    sort_keys=True, indent=1) + "\n")
 
 
 def load_state(path) -> State:
@@ -208,8 +216,8 @@ def channel_from_dict(doc: dict) -> QuantumChannel:
 
 
 def save_channel(channel: QuantumChannel, path, provenance: dict | None = None):
-    Path(path).write_text(json.dumps(channel_to_dict(channel, provenance),
-                                     sort_keys=True, indent=1) + "\n")
+    write_file(path, json.dumps(channel_to_dict(channel, provenance),
+                                sort_keys=True, indent=1) + "\n")
 
 
 def load_channel(path) -> QuantumChannel:

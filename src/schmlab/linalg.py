@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DimensionLimitError, NumericError, ValidationError
 
-# Hard cap on either axis of a bipartite space.
+# Hard cap on the total dimension dimA * dimB of a bipartite space: every
+# command works on dense (dimA * dimB)^2 operators.
 MAX_DIM = 4096
 
 # Relative Frobenius deviation above which a matrix is rejected as
@@ -38,9 +39,9 @@ class BipartiteDims:
     def __post_init__(self):
         if self.dimA < 1 or self.dimB < 1:
             raise ValidationError(f"dimensions must be positive, got {self}")
-        if max(self.dimA, self.dimB) > MAX_DIM:
+        if self.dimA * self.dimB > MAX_DIM:
             raise DimensionLimitError(
-                f"dimensions are capped at {MAX_DIM} per axis, got {self}")
+                f"dimensions are capped at {MAX_DIM} in total (dimA * dimB), got {self}")
 
     @property
     def total(self) -> int:

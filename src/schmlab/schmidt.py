@@ -211,19 +211,18 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
 
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                    tol: RankTolerance = DEFAULT_TOL,
-                   hints: Optional[Sequence[Ensemble]] = None,
                    floor: int = 1) -> tuple[int, Ensemble]:
     """Best decomposition found: (max member Schmidt rank, ensemble).
 
-    Candidates: the eigen-ensemble, any ensemble attached to the state and
-    any caller hints (validated); the best of them sets `best_k`.  Then the
-    remix searches for an exact decomposition at each target rank from
-    `max(1, floor)` up to `best_k - 1`, in ascending order, where `floor` is
-    a known lower bound on the Schmidt number (no target below it can
-    succeed).  A remix trial draws a Haar co-isometry U (all ensembles of a
-    state arise this way) and then alternates SVD truncation of the members
-    with an orthogonal-Procrustes refit, steering the ensemble toward
-    members of Schmidt rank <= target while reconstructing omega exactly.
+    Candidates: the eigen-ensemble and any ensemble attached to the state;
+    the better of them sets `best_k`.  Then the remix searches for an exact
+    decomposition at each target rank from `max(1, floor)` up to
+    `best_k - 1`, in ascending order, where `floor` is a known lower bound
+    on the Schmidt number (no target below it can succeed).  A remix trial
+    draws a Haar co-isometry U (all ensembles of a state arise this way) and
+    then alternates SVD truncation of the members with an
+    orthogonal-Procrustes refit, steering the ensemble toward members of
+    Schmidt rank <= target while reconstructing omega exactly.
 
     The search spends `budget * 60` row-iterations.  Each target gets the
     budget left divided by the number of targets left; its trials start at
@@ -240,9 +239,6 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     candidates: list[Ensemble] = [eigen_ensemble(omega)]
     if omega.ensemble is not None:
         candidates.append(omega.ensemble)
-    for hint in hints or ():
-        state_with_hint = omega.with_ensemble(hint)  # validates the hint
-        candidates.append(state_with_hint.ensemble)
 
     best_ens = min(candidates, key=lambda ens: ensemble_max_sr(ens, tol))
     best_k = ensemble_max_sr(best_ens, tol)
@@ -293,12 +289,11 @@ class SchmidtCertificate:
 
 
 def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0,
-            tol: RankTolerance = DEFAULT_TOL,
-            hints: Optional[Sequence[Ensemble]] = None) -> SchmidtCertificate:
+            tol: RankTolerance = DEFAULT_TOL) -> SchmidtCertificate:
     """Run both bounds and assemble the certificate."""
     lower, evidence = sn_lower_bound(omega)
     upper, ensemble = sn_upper_bound(omega, budget=budget, seed=seed, tol=tol,
-                                     hints=hints, floor=lower)
+                                     floor=lower)
     return SchmidtCertificate(
         lower=lower,
         upper=upper,
@@ -541,30 +536,37 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
                                 kernel_tol=tol.rel_cutoff)
 
 
-def _project_to_support_sr(phi: np.ndarray, support: np.ndarray,
+def _project_to_support_sr(phis: np.ndarray, support: np.ndarray,
                            dims: BipartiteDims, r: int, iters: int = 500,
-                           target: float = 1e-13) -> tuple[np.ndarray, float]:
+                           target: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Alternating projection onto (support subspace) ∩ (Schmidt rank <= r).
 
-    Returns the final unit vector and its residual kernel mass.  Converges
-    linearly when the intersection is transversal; may stall at a positive
-    residual when the support holds no rank-r states near the start.
+    Projects an (n, dims.total) stack of unit rows; returns the rows and
+    their kernel masses.  Each row stops on its own once its mass is below
+    `target` (mass 1.0 if orthogonal to the support) and gives the same bits
+    as projecting it alone.  Converges linearly when the intersection is
+    transversal; may stall at a positive residual when the support holds no
+    rank-r states near the start.
     """
-    kernel_mass = np.inf
+    phis = np.array(phis, dtype=np.complex128)
+    masses = np.full(len(phis), np.inf)
+    support_h = support.conj().T
+    active = np.arange(len(phis))
     for _ in range(iters):
-        # phi stays exactly Schmidt rank r; stop once its own leakage out of
-        # the support is negligible.
-        inside = support @ (support.conj().T @ phi)
-        norm = np.linalg.norm(inside)
-        if norm <= 1e-300:
-            return phi, 1.0
-        kernel_mass = max(0.0, 1.0 - norm * norm)
-        if kernel_mass < target:
-            return phi, kernel_mass
-        a, bh = _schmidt_factors(inside.reshape(dims.dimA, dims.dimB), r)
-        phi = (a @ bh).reshape(-1)
-        phi /= np.linalg.norm(phi)
-    return phi, kernel_mass
+        inside = (support @ (support_h @ phis[active, :, None]))[..., 0]
+        norms = np.array([np.linalg.norm(v) for v in inside])
+        empty = norms <= 1e-300
+        masses[active] = np.where(empty, 1.0, np.maximum(0.0, 1.0 - norms * norms))
+        going = ~empty & (masses[active] >= target)
+        active = active[going]
+        if not active.size:
+            break
+        a, bh = _schmidt_factors(inside[going].reshape(-1, dims.dimA, dims.dimB), r)
+        rows = (a @ bh).reshape(active.size, -1)
+        for row in rows:
+            row /= np.linalg.norm(row)
+        phis[active] = rows
+    return phis, masses
 
 
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
@@ -574,11 +576,14 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
     inside the support of omega.  On a rank-deficient support the feasible
-    set is thin, so each start (truncated support eigenvectors plus random
-    support vectors) is driven into it by plain alternating projection;
+    set is thin, so the starts (truncated support eigenvectors plus random
+    support vectors) are driven into it by plain alternating projection;
     tilting that search collapses the start diversity into a single basin.
-    On a full support feasibility is free and an exact seesaw descent of
-    the normalized pseudo-inverse picks heavy candidates instead.  Feasible
+    Two masked projections run over all starts: even starts and kernel-seesaw
+    rows of mass in (0, 1e-6] take 500 steps to 1e-13, then rows left in
+    (1e-14, rel_cutoff] take 2000 steps to 1e-14 and must end <= 1e-13.  On
+    a full support feasibility is free and an exact seesaw descent of the
+    normalized pseudo-inverse picks heavy candidates instead.  Feasible
     points are deduplicated by overlap and ordered by decreasing weight.
     `spectral` is ``linalg.support_kernel(matrix, tol.rel_cutoff)``.
     """
@@ -601,6 +606,7 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
     phis = truncated.reshape(len(starts), -1)
     masses = np.zeros(len(starts))
+    limit = np.full(len(starts), tol.rel_cutoff)
     if full_support:
         pinv = (support / vals) @ support.conj().T * tr
         pinv = (pinv + pinv.conj().T) / 2 * (float(vals[-1]) / tr)
@@ -613,20 +619,18 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
             dims.dimA, dims.dimB, dims.dimA, dims.dimB
         )
         masses[1::2], phis[1::2] = _seesaw_min_overlap(kernel4, dims, r, frames[1::2], 150)
+        # Even restarts and nearly-feasible seesaw rows are projected.
+        first = (np.arange(len(starts)) % 2 == 0) | ((masses > 0) & (masses <= 1e-6))
+        phis[first], masses[first] = _project_to_support_sr(phis[first], support, dims, r)
+        # Candidates are later subtracted with their full weight against a
+        # nearly-closed support gap, where leakage out of the support is
+        # amplified quadratically; polish it down hard.
+        polish = (masses > 1e-14) & (masses <= tol.rel_cutoff)
+        phis[polish], masses[polish] = _project_to_support_sr(
+            phis[polish], support, dims, r, iters=2000, target=1e-14)
+        limit[polish] = 1e-13
     results = []
-    for restart, (phi, kernel_mass) in enumerate(zip(phis, masses)):
-        if not full_support and (restart % 2 == 0 or 0 < kernel_mass <= 1e-6):
-            phi, kernel_mass = _project_to_support_sr(phi, support, dims, r)
-        if kernel_mass > tol.rel_cutoff:
-            continue
-        if not full_support and kernel_mass > 1e-14:
-            # Candidates are later subtracted with their full weight against
-            # a nearly-closed support gap, where leakage out of the support
-            # is amplified quadratically; polish it down hard.
-            phi, kernel_mass = _project_to_support_sr(phi, support, dims, r,
-                                                      iters=2000, target=1e-14)
-            if kernel_mass > 1e-13:
-                continue
+    for phi in phis[masses <= limit]:
         sigma = np.outer(phi, phi.conj())
         lam = _max_subtraction_raw(matrix / tr, support, vals / tr, sigma,
                                    kernel_tol=tol.rel_cutoff)
@@ -642,7 +646,7 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     return found
 
 
-def _packing_weights(matrix: np.ndarray, pool: Sequence[np.ndarray],
+def _packing_weights(matrix: np.ndarray, pool: np.ndarray,
                      c0: Optional[np.ndarray] = None) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
@@ -759,26 +763,10 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             PureState.normalized(omega_support[:, 0], omega.dims), tol) > r:
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
 
-    pool: list[np.ndarray] = []
+    pool = np.zeros((0, omega.dims.total), dtype=np.complex128)
     weights = np.zeros(0)
     pool_cap = 64
     remainder = omega.matrix.copy()
-    full_rank = omega_support.shape[1] == omega.dims.total
-
-    def admit(phi: np.ndarray) -> Optional[np.ndarray]:
-        """Re-polish a candidate against the input state's own support.
-
-        Late-round remainders are small, so their relative rank cutoff can
-        admit directions that are absolutely negligible in omega; a pool
-        member leaking into those directions would poison the packing
-        remainder once subtracted with full weight.
-        """
-        if full_rank:
-            return phi
-        phi, kernel_mass = _project_to_support_sr(phi, omega_support,
-                                                  omega.dims, r,
-                                                  iters=2000, target=1e-14)
-        return phi if kernel_mass <= 1e-13 else None
 
     def recompute_remainder():
         out = omega.matrix.copy()
@@ -803,31 +791,36 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         )
         spent += restarts_per_round
         support, vals, _ = spectral
-        admitted = []
-        for _, phi in candidates:
-            phi = admit(phi)
-            if phi is None:
-                continue
-            if not any(abs(np.vdot(phi, other)) > 0.999 for other in pool):
-                pool.append(phi)
-                weights = np.append(weights, 0.0)
+        phis = np.reshape([phi for _, phi in candidates], (-1, omega.dims.total))
+        if omega_support.shape[1] < omega.dims.total:
+            # Re-polish the candidates against the input state's own support.
+            # Late-round remainders are small, so their relative rank cutoff
+            # can admit directions that are absolutely negligible in omega; a
+            # pool member leaking into those directions would poison the
+            # packing remainder once subtracted with full weight.
+            phis, masses = _project_to_support_sr(phis, omega_support, omega.dims, r,
+                                                  iters=2000, target=1e-14)
+            phis = phis[masses <= 1e-13]
+        best_lam, best_index = 0.0, -1  # the first candidate of largest weight
+        for phi in phis:
+            matches = np.flatnonzero(np.abs(pool.conj() @ phi) > 0.999)
+            index = int(matches[0]) if matches.size else len(pool)
+            if index == len(pool):
+                pool, weights = np.vstack([pool, phi]), np.append(weights, 0.0)
             # Admission re-polished the vector, so its weight against the
             # current remainder must be recomputed before subtracting.
             lam_rel = _max_subtraction_raw(
                 remainder / trace_left, support, vals / trace_left,
                 np.outer(phi, phi.conj()), kernel_tol=tol.rel_cutoff,
             )
-            admitted.append((lam_rel, phi))
-        admitted.sort(key=lambda item: -item[0])
-        if admitted and admitted[0][0] * trace_left > 1e-6:
-            lam_rel, phi = admitted[0]
-            index = next(i for i, other in enumerate(pool)
-                         if abs(np.vdot(phi, other)) > 0.999)
-            weights[index] += 0.5 * lam_rel * trace_left
+            if lam_rel > best_lam:
+                best_lam, best_index = lam_rel, index
+        if best_lam * trace_left > 1e-6:
+            weights[best_index] += 0.5 * best_lam * trace_left
             remainder = recompute_remainder()
             stall = 0
             continue
-        if not pool:
+        if not len(pool):
             stall += 1
             continue
         before = float(np.trace(remainder).real)
@@ -835,7 +828,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         if len(pool) > pool_cap:
             order = np.argsort(weights)[::-1]
             keep = np.sort(order[:pool_cap])
-            pool = [pool[i] for i in keep]
+            pool = pool[keep]
             weights = weights[keep]
         remainder = recompute_remainder()
         after = float(np.trace(remainder).real)
@@ -843,7 +836,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             break  # at the packing gap floor; refinement cannot resolve less
         stall = 0 if after < 0.9 * before else stall + 1
 
-    if pool:
+    if len(pool):
         weights = _packing_weights(omega.matrix, pool, c0=weights)
         remainder = recompute_remainder()
 

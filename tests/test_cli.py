@@ -237,6 +237,33 @@ def test_dimension_cap_exits_2(tmp_path):
     assert cli.main(["analyze-state", "--recipe", "maxent", "--d", "4097"]) == 2
 
 
+def test_wide_binary_state_exits_2(tmp_path):
+    # 300 x 300 passes a per-axis cap, but its density matrix would need
+    # about 121 GiB; the file is refused before anything that size exists.
+    from schmlab.io import HEADER, MAGIC
+
+    payload = np.zeros(2 * 300 * 300, dtype="<f8")
+    payload[0] = 1.0
+    fixture = tmp_path / "wide.bin"
+    fixture.write_bytes(MAGIC + HEADER.pack(300, 300, 0) + payload.tobytes())
+    proc = run_cli("analyze-state", fixture)
+    assert proc.returncode == 2
+    assert "capped at 4096" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze-state", "--recipe", "maxent", "--d", "2", "--json"],
+    ["build", "maxent", "--d", "2", "--out"],
+])
+def test_unwritable_output_exits_2(tmp_path, command):
+    target = tmp_path / "missing" / "out.json"
+    proc = run_cli(*command, target)
+    assert proc.returncode == 2
+    assert f"{target}: cannot write" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_input_exits_2(tmp_path):
     proc = run_cli("analyze-state", tmp_path / "absent.json")
     assert proc.returncode == 2

@@ -99,6 +99,16 @@ def test_load_rejects_unreadable_files(tmp_path):
         load_channel(garbage)
 
 
+def test_save_rejects_unwritable_paths(tmp_path):
+    missing = tmp_path / "missing"
+    for name in ("s.json", "s.bin"):
+        with pytest.raises(ValidationError, match=f"{name}: cannot write"):
+            save_state(maximally_entangled(2), missing / name)
+    with pytest.raises(ValidationError, match="c.json: cannot write"):
+        save_channel(identity_channel(2), missing / "c.json")
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("dims", [["a", 2], [True, 2.7], [2, 0], [2, 2.0]])
 def test_channel_choi_rejects_bad_dims(tmp_path, dims):
     choi = identity_channel(2).choi()

@@ -57,11 +57,12 @@ def test_kron_flip_on_basis_vector():
 
 
 def test_dimension_cap():
+    # The cap is on dimA * dimB, the side of every dense operator's axes.
     assert BipartiteDims(4096, 1).dimA == 4096
-    with pytest.raises(DimensionLimitError):
-        BipartiteDims(4097, 1)
-    with pytest.raises(DimensionLimitError):
-        BipartiteDims(1, 4097)
+    assert BipartiteDims(64, 64).total == 4096
+    for dims in [(4097, 1), (1, 4097), (65, 64), (300, 300)]:
+        with pytest.raises(DimensionLimitError):
+            BipartiteDims(*dims)
 
 
 def test_kron_associativity_random():

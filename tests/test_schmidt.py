@@ -114,14 +114,14 @@ def test_sn_upper_pure_state():
     assert upper == 2 and len(ens) == 1
 
 
-def test_sn_upper_product_mixture_hint():
-    # The generating ensemble certifies 1; feed it as a hint, since the
-    # randomized search alone need not reach an exact product split.
+def test_sn_upper_product_mixture_bare():
+    # Without its generating ensemble, the remix search alone must find an
+    # exact product split of a bare product mixture.
     rng = rng_for(5, "schmidt/uhint")
     dims = BipartiteDims(3, 3)
     mix = random_sr_mixture(rng, dims, 1, 3)
     bare = DensityMatrix(mix.matrix, dims)
-    upper, ens = sn_upper_bound(bare, budget=100, seed=0, hints=[mix.ensemble])
+    upper, ens = sn_upper_bound(bare, budget=100, seed=0)
     assert upper == 1
     assert ensemble_max_sr(ens) == 1
 
@@ -449,3 +449,72 @@ def test_seesaw_rows_match_single_row_calls(dA, dB, r):
     frozen = [np.array_equal(early[1][row], full[1][row]) for row in range(len(frames))]
     assert frozen[2:4] == [True, True] and not all(frozen)
     assert np.allclose(np.linalg.norm(full[1], axis=1), 1.0)
+
+
+@pytest.mark.parametrize("iters, target", [(500, 1e-13), (2000, 1e-14)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_project_to_support_rows_match_single_row_calls(r, iters, target):
+    # All rows are projected together as one stack; every row must give the
+    # same bits and mass as projecting it alone, however early it stops.
+    from schmlab.schmidt import _project_to_support_sr, _schmidt_factors
+
+    def project_one(phi, support):
+        kernel_mass = np.inf
+        for step in range(iters):
+            inside = support @ (support.conj().T @ phi)
+            norm = np.linalg.norm(inside)
+            if norm <= 1e-300:
+                return phi, 1.0, step
+            kernel_mass = max(0.0, 1.0 - norm * norm)
+            if kernel_mass < target:
+                return phi, kernel_mass, step
+            a, bh = _schmidt_factors(inside.reshape(3, 3), r)
+            phi = (a @ bh).reshape(-1)
+            phi /= np.linalg.norm(phi)
+        return phi, kernel_mass, iters
+
+    dims = BipartiteDims(3, 3)
+    rng = rng_for(15, f"schmidt/project/{r}")
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    # Every vector below vanishes on |22>, so that basis vector is exactly
+    # orthogonal to both supports.  The wide support holds two members of
+    # Schmidt rank r, where rows converge; the thin one is spanned by a
+    # Schmidt rank 3 vector alone, where every other row hits the cap.
+    members = []
+    for _ in range(2):
+        m = np.outer(np.r_[gauss(2), 0], gauss(3)) if r == 1 else gauss(3, 2) @ gauss(2, 3)
+        m[2] = 0
+        members.append(m.reshape(-1))
+    full = gauss(3, 3)
+    full[2, 2] = 0
+    full = full.reshape(-1)
+    wide = np.linalg.qr(np.stack(members + [full], axis=1))[0]
+    thin = (full / np.linalg.norm(full))[:, None]
+    assert not wide[8].any() and not thin[8].any()
+
+    starts = [m + 0.1 * np.linalg.norm(m) * gauss(9) for m in members]
+    starts += [wide @ gauss(3) for _ in range(4)] + [gauss(9) for _ in range(2)]
+    a, bh = _schmidt_factors(np.reshape(starts, (-1, 3, 3)), r)
+    rows = (a @ bh).reshape(len(starts), -1)
+    for row in rows:
+        row /= np.linalg.norm(row)
+    rows = np.vstack([rows, np.eye(9)[8]])
+
+    steps = []
+    for support in (wide, thin):
+        phis, masses = _project_to_support_sr(rows, support, dims, r, iters, target)
+        assert phis.shape == rows.shape and masses.shape == (len(rows),)
+        for row, phi, mass in zip(rows, phis, masses):
+            alone, alone_mass, step = project_one(row, support)
+            assert np.array_equal(phi, alone)
+            assert mass == alone_mass
+            steps.append(step)
+        assert masses[-1] == 1.0 and np.array_equal(phis[-1], rows[-1])
+    assert any(0 < step < iters for step in steps)  # stopped early at the target
+    assert steps.count(iters) >= len(rows) - 1  # every thin row but |22> is capped
+
+    phis, masses = _project_to_support_sr(rows[:0], wide, dims, r, iters, target)
+    assert phis.shape == (0, 9) and masses.shape == (0,)
