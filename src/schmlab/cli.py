@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     try:
         if not 0 <= args.seed < SEED_LIMIT:
             raise ValidationError(f"--seed must lie in [0, 2^63), got {args.seed}")
+        for path in (args.json_path, getattr(args, "out", None)):
+            if path:
+                io.check_writable(path)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

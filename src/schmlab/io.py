@@ -14,6 +14,7 @@ Unknown JSON keys are ignored on load, so builders may embed provenance.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Union
@@ -107,6 +108,18 @@ def write_file(path, data: Union[str, bytes]):
         path.write_bytes(data) if isinstance(data, bytes) else path.write_text(data)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot write file: {exc.strerror or exc}")
+
+
+def check_writable(path):
+    """Refuse `path` unless a file can be made there; nothing is created."""
+    path = Path(path)
+    parent = path.parent
+    if path.is_dir():
+        raise ValidationError(f"{path}: cannot write file: it is a directory")
+    if not parent.is_dir():
+        raise ValidationError(f"{path}: cannot write file: {parent} is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValidationError(f"{path}: cannot write file: {parent} is not writable")
 
 
 def _load_json(path: Path, data: bytes) -> dict:

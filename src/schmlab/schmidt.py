@@ -5,7 +5,8 @@ attached generating ensembles, and randomized remixing of the eigenbasis);
 lower bounds from the canonical one-parameter family of k-positive maps
 Lambda_t(rho) = Tr(rho) I - t rho, which is k-positive exactly for
 t <= 1/k.  The module also builds kernel-projector Schmidt witnesses and
-runs the greedy edge-state decomposition.
+runs the edge-state decomposition: the exact remix first, then greedy
+subtraction.
 
 The lower bound is sound but incomplete: it exhausts one map family, not
 all k-positive maps, so `lower <= SN <= upper` always, with equality not
@@ -209,6 +210,44 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     return [polished[trial] for trial in trials]
 
 
+def _remix_factor(omega: DensityMatrix) -> np.ndarray:
+    """M with M M† = omega, from the eigenvectors of nonzero eigenvalues."""
+    vals, vecs = linalg.eigh(omega.matrix)
+    rank = max(1, int(np.count_nonzero(vals > 1e-12)))
+    return vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
+
+
+def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: int,
+                  share: int) -> tuple[Optional[Ensemble], int]:
+    """Remix trials at one target rank until one is exact or `share` is spent.
+
+    Trials start at 0 and polish together in index-ordered chunks of 1, 2,
+    4, ... up to 64, each row capped at `REMIX_CAP` iterations or at what is
+    left of the share, whichever is less.  Results are read in trial order
+    and charged their iterations until the share is spent.  A converged
+    trial is accepted if its members, truncated to rank `target` and
+    renormalized, rebuild omega within trace distance 1e-8; the first
+    accepted trial wins, so its members have Schmidt rank <= target exactly
+    and a fixed seed always gives the same result.  `factor` is
+    ``_remix_factor(omega)``.  Returns the accepted ensemble, or None, and
+    the row-iterations charged.
+    """
+    used, trial, chunk = 0, 0, 1
+    while used < share:
+        trials = range(trial, trial + chunk)
+        trial, chunk = trials.stop, min(2 * chunk, 64)
+        rows = _remix_polish(factor, omega.dims, target, seed, trials,
+                             min(REMIX_CAP, share - used))
+        for cols, status, iters in rows:
+            ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
+            if ensemble is not None:
+                return ensemble, used
+            used += iters
+            if used >= share:
+                break
+    return None, used
+
+
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
                    tol: RankTolerance = DEFAULT_TOL,
                    floor: int = 1) -> tuple[int, Ensemble]:
@@ -225,17 +264,11 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     Schmidt rank <= target while reconstructing omega exactly.
 
     The search spends `budget * 60` row-iterations.  Each target gets the
-    budget left divided by the number of targets left; its trials start at
-    0 and polish together in index-ordered chunks of 1, 2, 4, ... up to 64,
-    each row capped at `REMIX_CAP` iterations or at what is left of the
-    target's share, whichever is less.  Results are read in trial order and
-    charged their iterations until the share is spent.  A converged trial is
-    accepted if its members, truncated to rank `target` and renormalized,
-    rebuild omega within trace distance 1e-8; the first accepted trial wins,
-    so its members have Schmidt rank <= target exactly and a fixed seed
-    always gives the same result.
+    budget left divided by the number of targets left, and `_remix_search`
+    spends that share: the first exact trial wins, so its members have
+    Schmidt rank <= target exactly and a fixed seed always gives the same
+    result.
     """
-    dims = omega.dims
     candidates: list[Ensemble] = [eigen_ensemble(omega)]
     if omega.ensemble is not None:
         candidates.append(omega.ensemble)
@@ -245,27 +278,14 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     if best_k <= max(1, floor) or budget <= 0:
         return best_k, best_ens
 
-    vals, vecs = linalg.eigh(omega.matrix)
-    rank = max(1, int(np.count_nonzero(vals > 1e-12)))
-    factor = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))  # M M† = omega
-
+    factor = _remix_factor(omega)
     targets = range(max(1, floor), best_k)
     left = budget * 60
     for target in targets:
-        share, used = left // (targets.stop - target), 0
-        trial, chunk = 0, 1
-        while used < share:
-            trials = range(trial, trial + chunk)
-            trial, chunk = trials.stop, min(2 * chunk, 64)
-            rows = _remix_polish(factor, dims, target, seed, trials,
-                                 min(REMIX_CAP, share - used))
-            for cols, status, iters in rows:
-                ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
-                if ensemble is not None:
-                    return target, ensemble
-                used += iters
-                if used >= share:
-                    break
+        ensemble, used = _remix_search(omega, factor, target, seed,
+                                       left // (targets.stop - target))
+        if ensemble is not None:
+            return target, ensemble
         left -= used
     return best_k, best_ens
 
@@ -724,8 +744,10 @@ def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
 class EdgeDecomposition:
     """omega = (1-p) * within + p * edge with within in the lower class.
 
-    p is an upper bound on the minimal mixing weight: the subtraction is a
-    greedy heuristic, not the exact compactness argument.
+    p is 0 exactly when an exact class-(k-1) decomposition of omega was
+    found: then `within` is omega itself with `removed` attached, members of
+    Schmidt rank <= k-1.  Otherwise p is the greedy subtraction's upper
+    bound on the minimal mixing weight, not the exact compactness argument.
     """
 
     p: float
@@ -737,19 +759,25 @@ class EdgeDecomposition:
 
 def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 0,
                    tol: RankTolerance = DEFAULT_TOL) -> EdgeDecomposition:
-    """Greedy split of a Schmidt-class-k state into class-(k-1) plus edge.
+    """Split a Schmidt-class-k state into class-(k-1) plus edge.
 
-    Greedy subtraction drives the bulk of the split: each round searches
-    the remainder for subtractable Schmidt rank <= k-1 pure states and
-    removes half of the best candidate's maximal weight.  Because
-    greedy weight choices along overlapping candidates strand removable
-    mass, every discovered candidate is kept in a pool and, whenever the
-    greedy step stalls, the pool weights are reallocated exactly by a
-    small packing program; the loop ends when reallocation stops helping,
-    several consecutive rounds find nothing above 1e-6, or the
-    budget of search restarts is spent.  A pure input is the only member
-    of any decomposition of itself, so one of Schmidt rank above k-1 is
-    returned as its own edge (p = 1) before any round.
+    A pure input is the only member of any decomposition of itself, so one
+    of Schmidt rank above k-1 is returned as its own edge (p = 1) at once.
+    Otherwise the remix of `sn_upper_bound` first searches for an exact
+    decomposition at target rank k-1 with a share of `budget * 60`
+    row-iterations; an accepted one gives p = 0 with no greedy round.  The
+    remix is skipped when the Lambda scan certifies a Schmidt number above
+    k-1, since then no class-(k-1) decomposition exists.
+
+    When the remix is skipped or fails, greedy subtraction splits the state
+    with the full budget: each round searches the remainder for
+    subtractable Schmidt rank <= k-1 pure states and removes half of the
+    best candidate's maximal weight.  Because greedy weight choices along
+    overlapping candidates strand removable mass, every discovered
+    candidate is kept in a pool and, whenever the greedy step stalls, the
+    pool weights are reallocated exactly by a small packing program; the
+    loop ends when reallocation stops helping, several consecutive rounds
+    find nothing above 1e-6, or the budget of search restarts is spent.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
@@ -762,6 +790,12 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     if omega_support.shape[1] == 1 and schmidt_rank(
             PureState.normalized(omega_support[:, 0], omega.dims), tol) > r:
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
+
+    if sn_lower_bound(omega)[0] <= r:
+        ensemble, _ = _remix_search(omega, _remix_factor(omega), r, seed, budget * 60)
+        if ensemble is not None:
+            return EdgeDecomposition(p=0.0, within=omega.with_ensemble(ensemble), edge=None,
+                                     removed=ensemble, rounds=0)
 
     pool = np.zeros((0, omega.dims.total), dtype=np.complex128)
     weights = np.zeros(0)

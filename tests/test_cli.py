@@ -264,6 +264,26 @@ def test_unwritable_output_exits_2(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze-state", "--recipe", "maxent", "--d", "2", "--json"],
+    ["analyze-channel", "CHANNEL", "--json"],
+    ["sweep", "isotropic", "--d", "2", "--json"],
+    ["build", "maxent", "--d", "2", "--out"],
+], ids=["analyze-state", "analyze-channel", "sweep", "build"])
+def test_unwritable_output_refused_before_work(tmp_path, command):
+    # The output directory is checked first: no certificate, sweep row or
+    # built file appears before the exit.
+    channel = tmp_path / "depol.json"
+    save_channel(completely_depolarizing(2), channel)
+    target = tmp_path / "missing" / "dir" / "r.json"
+    proc = run_cli(*[channel if arg == "CHANNEL" else arg for arg in command], target)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{target}: cannot write file: {target.parent} is not a directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     proc = run_cli("analyze-state", tmp_path / "absent.json")
     assert proc.returncode == 2

@@ -9,6 +9,7 @@ from schmlab.channels import identity_channel, random_channel
 from schmlab.errors import ValidationError
 from schmlab.io import (
     certificate_to_dict,
+    check_writable,
     channel_from_dict,
     channel_to_dict,
     load_channel,
@@ -107,6 +108,15 @@ def test_save_rejects_unwritable_paths(tmp_path):
     with pytest.raises(ValidationError, match="c.json: cannot write"):
         save_channel(identity_channel(2), missing / "c.json")
     assert not missing.exists()
+
+
+def test_check_writable_creates_nothing(tmp_path):
+    check_writable(tmp_path / "r.json")
+    with pytest.raises(ValidationError, match="is not a directory"):
+        check_writable(tmp_path / "missing" / "r.json")
+    with pytest.raises(ValidationError, match="it is a directory"):
+        check_writable(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("dims", [["a", 2], [True, 2.7], [2, 0], [2, 2.0]])

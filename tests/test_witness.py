@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from schmlab import schmidt
 from schmlab.errors import ValidationError, WitnessDegenerateError
-from schmlab.linalg import BipartiteDims
+from schmlab.linalg import BipartiteDims, trace_distance
 from schmlab.sampling import (
     random_density_matrix,
     random_sr_mixture,
@@ -18,8 +19,10 @@ from schmlab.schmidt import (
     max_subtractable,
     min_overlap_grid,
     min_overlap_sr,
+    sn_lower_bound,
 )
 from schmlab.states import DensityMatrix, maximally_entangled, schmidt_rank
+from test_schmidt import tiles_upb_state
 
 
 def batch_product_states(rng, dims, count):
@@ -186,20 +189,50 @@ def test_max_subtractable_finds_members():
     assert schmidt_rank(phi) == 1
 
 
-def test_edge_decompose_product_mixture():
+@pytest.mark.parametrize("r, k, label", [
+    (1, 2, "witness/edgemix"),
+    (2, 3, "witness/edgemix-sr2"),
+], ids=["sr1-k2", "sr2-k3"])
+def test_edge_decompose_product_mixture(r, k, label):
+    # A bare mixture of Schmidt-rank-(k-1) states: the exact remix splits it
+    # with p = 0 before any greedy round.
     dims = BipartiteDims(3, 3)
-    mix = random_sr_mixture(rng_for(8, "witness/edgemix"), dims, 1, 4)
+    mix = random_sr_mixture(rng_for(8, label), dims, r, 4)
     bare = DensityMatrix(mix.matrix, dims)
-    dec = edge_decompose(bare, k=2, budget=2000, seed=0)
-    assert dec.p <= 0.05
-    # Reconstruction identity.
-    rebuilt = np.zeros_like(bare.matrix)
-    if dec.within is not None:
-        rebuilt = rebuilt + (1 - dec.p) * dec.within.matrix
-    if dec.edge is not None:
-        rebuilt = rebuilt + dec.p * dec.edge.matrix
-    diff = np.linalg.eigvalsh(rebuilt - bare.matrix)
-    assert 0.5 * np.sum(np.abs(diff)) <= 1e-8
+    dec = edge_decompose(bare, k=k, budget=2000, seed=0)
+    assert (dec.p, dec.rounds, dec.edge) == (0.0, 0, None)
+    rebuilt = sum(w * psi.projector() for w, psi in dec.removed)
+    assert trace_distance(rebuilt, bare.matrix) <= 1e-8
+    assert np.linalg.norm(dec.within.matrix - bare.matrix) == 0.0
+    for _, psi in dec.removed:
+        s = np.linalg.svd(psi.amplitudes.reshape(3, 3), compute_uv=False)
+        assert s[k - 1:].max() <= 1e-12 * s[0]  # rank <= k-1 exactly, not at a cutoff
+
+
+def test_edge_decompose_skips_remix_above_the_floor(monkeypatch):
+    # The Lambda scan certifies Schmidt number 2, so no class-1 split exists
+    # and the remix must not run.
+    omega = random_density_matrix(rng_for(0, "witness/edgegate"), BipartiteDims(3, 3), rank=4)
+    assert sn_lower_bound(omega)[0] == 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("remix ran above the Lambda floor")
+
+    monkeypatch.setattr(schmidt, "_remix_polish", forbidden)
+    dec = edge_decompose(omega, k=2, budget=24, seed=0)
+    assert dec.rounds > 0
+
+
+def test_edge_decompose_falls_back_when_the_remix_fails():
+    # The tiles UPB state passes the Lambda scan (floor 1), but its range
+    # holds no product vector: the remix finds nothing and the greedy loop
+    # runs, and removes nothing.
+    omega = tiles_upb_state()
+    assert sn_lower_bound(omega)[0] == 1
+    dec = edge_decompose(omega, k=2, budget=50, seed=0)
+    assert dec.rounds > 0
+    assert dec.p == 1.0
+    assert dec.removed == ()
 
 
 def test_edge_decompose_pure_high_rank():
