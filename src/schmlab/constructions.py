@@ -92,6 +92,8 @@ def _rotation_phases(x: float, m: int) -> np.ndarray:
 
 def fourier_profile(m: int, decay: float = PROFILE_DECAY) -> FourierVector:
     """Geometric-decay profile c_k ∝ decay^|k|, all coefficients positive."""
+    if m < 0:
+        raise ValidationError(f"mode cutoff m must be >= 0, got {m}")
     if not 0.0 < decay <= 1.0:
         raise ValidationError(f"decay must lie in (0,1], got {decay}")
     c = decay ** np.abs(np.arange(-m, m + 1)).astype(float)
@@ -109,9 +111,9 @@ def orthogonal_fourier_family(k: int, m: int, decay: float = PROFILE_DECAY,
     dim = 2 * m + 1
     if k < 1:
         raise ValidationError(f"family size must be >= 1, got {k}")
+    profile = fourier_profile(m, decay).coefficients
     if k > dim:
         raise ValidationError(f"family size {k} exceeds dimension {dim}")
-    profile = fourier_profile(m, decay).coefficients
     idx = np.arange(dim)
     for attempt in range(FAMILY_RETRIES + 1):
         columns = np.empty((dim, k), dtype=np.complex128)

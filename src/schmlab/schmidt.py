@@ -43,6 +43,10 @@ OVERLAP_SHIFT = 1e-3
 REMIX_CAP = 10000
 REMIX_STATUSES = ("converged", "stalled", "capped")
 
+# Differences of kept (point, plain step) pairs that a remix row's Anderson
+# step mixes; a row mixes once it has kept one point more than this in a row.
+ANDERSON_DEPTH = 5
+
 
 def _schmidt_factors(stack: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r Schmidt factors of a (..., dA, dB) stack of coefficient matrices.
@@ -152,11 +156,23 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     "converged": every member's Schmidt tail beyond `target`, relative to
     its norm, is below 1e-10.  "stalled": the last step moved the columns by
     less than 1e-12, or the largest tail fell by less than 10 % over the last
-    100 iterations.  "capped": the row ran `cap` iterations.  Each iteration
-    truncates the members, tests them, and refits a row that goes on.
-    Trials of one size polish together as rows of one stack and each row
-    stops on its own, so every row gives the same bits as polishing that
-    trial alone.
+    100 iterations.  "capped": the row ran `cap` iterations.
+
+    A row is a co-isometry U with member columns ``factor @ U``.  Its plain
+    step g(U) truncates the members to rank `target` and refits U to them by
+    orthogonal Procrustes.  That is an alternating projection, so it never
+    raises the total tail: the sum over members of their squared singular
+    values beyond `target`.  Once a row has kept `ANDERSON_DEPTH + 1`
+    consecutive points, it Anderson-mixes their pairs ``(U, g(U))`` (Walker
+    & Ni, SIAM J. Numer. Anal. 49, 2011) and projects the mix back to a
+    co-isometry.  The next iteration keeps that candidate only if its total
+    tail is strictly below the kept point's; otherwise the row drops its
+    history and takes plain steps until it has kept enough points again.
+    Plain steps are always kept, so the kept points' tails never rise beyond
+    roundoff, and the returned columns are the last kept point's.  Every
+    evaluation counts as an iteration.  Trials of one size polish together
+    as rows of one stack and each row stops on its own, so every row gives
+    the same bits as polishing that trial alone.
     """
     rank = factor.shape[1]
     factor_h = factor.conj().T
@@ -169,44 +185,80 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
         for trial in group:
             rng = rng_for(seed, f"sn_upper/remix/{trial}")
             draws.append(rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)))
-        # rank x size co-isometries, co_iso @ co_iso† = I
-        co_iso = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
-        cols = factor @ co_iso
-        iters = np.zeros(len(group), dtype=int)
-        stopped = np.full(len(group), -1)  # index into REMIX_STATUSES once stopped
-        settled = np.zeros(len(group), dtype=bool)
-        checkpoint = np.full(len(group), np.inf)
-        active = np.arange(len(group))
-        while active.size:
+        # rank x size co-isometries, co_iso @ co_iso† = I: the point each row
+        # evaluates next, the point it kept last, and that point's plain step
+        point = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
+        cols = factor @ point
+        kept, kept_cols, step = point, cols, point
+        rows = np.arange(len(group))  # each live row's index into `group`
+        mixed = np.zeros(rows.size, dtype=bool)  # `point` is an Anderson candidate
+        streak = np.zeros(rows.size, dtype=int)  # points kept since the last drop
+        kept_tail = np.zeros(rows.size)
+        largest = np.zeros(rows.size)
+        checkpoint = np.full(rows.size, np.inf)
+        settled = np.zeros(rows.size, dtype=bool)
+        # The last ANDERSON_DEPTH differences of kept residuals g(U) - U and of
+        # plain steps, oldest first; a row mixes only once they are all its own.
+        d_res = np.zeros((rows.size, ANDERSON_DEPTH, rank * size), dtype=complex)
+        d_g = d_res
+        for done in range(cap):
             u, s, vh = np.linalg.svd(
-                cols[active].transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
+                cols.transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
                 full_matrices=False)
-            s2 = (s * s).reshape(active.size, size, -1)
+            s2 = (s * s).reshape(rows.size, size, -1)
             norm2, tail2 = s2.sum(axis=2), s2[..., target:].sum(axis=2)
+            total2 = tail2.sum(axis=1)
+            keep = ~mixed | (total2 < kept_tail)
+            streak = np.where(keep, streak + 1, 0)
+            kept_tail = np.where(keep, total2, kept_tail)
             # Members the exact acceptance drops (weight <= 1e-14) count as converged.
-            largest2 = np.divide(tail2, norm2, out=np.zeros_like(tail2),
-                                 where=norm2 > 1e-14).max(axis=1)
-            done = iters[active]
-            mark = done % 100 == 0
-            stop = np.select(
-                [largest2 < 1e-20,
-                 settled[active] | (mark & (largest2 > 0.81 * checkpoint[active])),
-                 done + 1 >= cap], [0, 1, 2], -1)
-            checkpoint[active[mark]] = largest2[mark]
-            iters[active] += 1
-            stopped[active] = stop
-            going = stop < 0
+            largest = np.where(keep, np.divide(tail2, norm2, out=np.zeros_like(tail2),
+                                               where=norm2 > 1e-14).max(axis=1), largest)
+            kept_cols = np.where(keep[:, None, None], cols, kept_cols)
+            stalled = settled
+            if done % 100 == 0:
+                stalled = stalled | (largest > 0.81 * checkpoint)
+                checkpoint = largest
+            stop = np.where(largest < 1e-20, 0,
+                            np.where(stalled, 1, 2 if done + 1 >= cap else -1))
             truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
-                         ).reshape(active.size, size, -1).transpose(0, 2, 1)[going]
-            active = active[going]
-            if not active.size:
-                break
+                         ).reshape(rows.size, size, -1).transpose(0, 2, 1)
+            going = stop < 0
+            if not going.all():
+                polished.update((group[i], (c, REMIX_STATUSES[status], done + 1))
+                                for i, c, status in zip(rows[~going], kept_cols[~going],
+                                                        stop[~going]))
+                if not going.any():
+                    break
+                (rows, keep, streak, truncated, point, kept, kept_cols, step, kept_tail,
+                 largest, checkpoint, d_res, d_g) = (
+                    a[going] for a in (rows, keep, streak, truncated, point, kept,
+                                       kept_cols, step, kept_tail, largest, checkpoint,
+                                       d_res, d_g))
             u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
-            new_cols = factor @ (u @ vh)
-            settled[active] = np.linalg.norm(new_cols - cols[active], axis=(1, 2)) < 1e-12
-            cols[active] = new_cols
-        polished.update(zip(group, zip(cols, (REMIX_STATUSES[i] for i in stopped),
-                                       iters.tolist())))
+            prev_res, prev_g = step - kept, step
+            kept = np.where(keep[:, None, None], point, kept)
+            step = np.where(keep[:, None, None], u @ vh, step)
+            res = step - kept
+            flat = (rows.size, 1, -1)
+            d_res = np.concatenate([d_res[:, 1:], (res - prev_res).reshape(flat)], axis=1)
+            d_g = np.concatenate([d_g[:, 1:], (step - prev_g).reshape(flat)], axis=1)
+            mixed = streak > ANDERSON_DEPTH
+            point = step
+            if mixed.any():
+                # gamma = argmin |res - d_res^T gamma| (a small ridge keeps the
+                # normal equations solvable); the candidate is g - d_g^T gamma.
+                dr, dg = d_res[mixed], d_g[mixed]
+                gram = dr.conj() @ dr.transpose(0, 2, 1)
+                ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
+                gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(ANDERSON_DEPTH),
+                                        dr.conj() @ res[mixed].reshape(-1, rank * size, 1))
+                mix = step[mixed].reshape(-1, rank * size, 1) - dg.transpose(0, 2, 1) @ gamma
+                u, _, vh = np.linalg.svd(mix.reshape(-1, rank, size), full_matrices=False)
+                point = step.copy()
+                point[mixed] = u @ vh
+            cols = factor @ point
+            settled = np.linalg.norm(cols - kept_cols, axis=(1, 2)) < 1e-12
     return [polished[trial] for trial in trials]
 
 
@@ -261,7 +313,9 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     draws a Haar co-isometry U (all ensembles of a state arise this way) and
     then alternates SVD truncation of the members with an
     orthogonal-Procrustes refit, steering the ensemble toward members of
-    Schmidt rank <= target while reconstructing omega exactly.
+    Schmidt rank <= target while reconstructing omega exactly.  The
+    alternation is Anderson-mixed and safeguarded (`_remix_polish`), so a
+    trial that converges does so in tens to hundreds of iterations.
 
     The search spends `budget * 60` row-iterations.  Each target gets the
     budget left divided by the number of targets left, and `_remix_search`

@@ -152,6 +152,20 @@ def test_build_bad_parameters_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "rotation", "--grids", "4"],
+    ["build", "snk"],
+    ["build", "rotation"],
+    ["analyze-state", "--recipe", "snk"],
+], ids=["sweep-rotation", "build-snk", "build-rotation", "analyze-snk"])
+def test_negative_mode_cutoff_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    flag = "--out" if argv[0] == "build" else "--json"
+    assert cli.main([*argv, "--m", "-1", flag, str(out)]) == 2
+    assert "mode cutoff m must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build", "analyze-state"])
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_snk_rejects_nonpositive_n(tmp_path, command, n):

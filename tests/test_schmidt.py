@@ -145,14 +145,26 @@ def assert_exact_evidence(omega, ens, r):
 def test_sn_upper_reaches_generating_rank(d, r, seed):
     # Bare mixtures of three Schmidt-rank-r states: the remix, aimed at the
     # certified floor, must find a decomposition at the generating rank.
-    # (3, 2) seed 0 converges only at trial 1 after 4351 iterations, above a
-    # cap of 3000.
+    # (3, 2) seed 0 converges only at trial 1, after trial 0 stalls.
     dims = BipartiteDims(d, d)
     mix = random_sr_mixture(rng_for(seed, f"schmidt/generating/{d}x{d}-r{r}"), dims, r, 3)
     omega = DensityMatrix(mix.matrix, dims)
     cert = certify(omega, budget=500)
     assert (cert.lower, cert.upper) == (r, r)
     assert_exact_evidence(omega, cert.upper_evidence, r)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sn_upper_converges_on_a_small_budget(seed):
+    # The bare 2x2 r1 mixture converges at trial 0 within a few dozen
+    # Anderson-mixed iterations, well inside the 600 row-iterations of budget
+    # 10; the plain alternating projection needs over a thousand.
+    dims = BipartiteDims(2, 2)
+    mix = random_sr_mixture(rng_for(seed, "schmidt/generating/2x2-r1"), dims, 1, 3)
+    omega = DensityMatrix(mix.matrix, dims)
+    cert = certify(omega, budget=10)
+    assert (cert.lower, cert.upper) == (1, 1)
+    assert_exact_evidence(omega, cert.upper_evidence, 1)
 
 
 def tiles_upb_state():
@@ -183,33 +195,69 @@ def remix_factor(omega):
 
 
 def polish_one_trial(factor, dims, target, seed, trial, cap):
-    """Reference: polish one remix trial on its own; (cols, status, iterations)."""
+    """Reference: polish one remix trial on its own; (cols, status, iterations).
+
+    Each pass evaluates a co-isometry U.  A plain step is always kept; an
+    Anderson candidate is kept only if its total tail (the squared Schmidt
+    coefficients beyond `target`, summed over members) is strictly below the
+    kept point's, else the pairs are dropped and the plain step follows.  A
+    kept point's plain step g(U) is the Procrustes refit to its truncated
+    members; once depth + 1 pairs (U, g(U)) are kept in a row, the next point
+    is their Anderson mix projected to a co-isometry.  Asserts that the kept
+    tails never rise: a kept candidate is strictly lower, and a plain step is
+    an alternating projection, which can rise only by roundoff.
+    """
+    from schmlab.schmidt import ANDERSON_DEPTH as depth
+
     rank = factor.shape[1]
     size = rank + trial % (rank + 1)
     rng = rng_for(seed, f"sn_upper/remix/{trial}")
-    g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-    cols = factor @ np.linalg.qr(g)[0].conj().T
-    settled, checkpoint = False, np.inf
+    draw = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    point = np.linalg.qr(draw)[0].conj().T
+    pairs, kept_tails = [], []  # kept (U, g(U)) since the last drop; every kept tail
+    mixed, settled, checkpoint = False, False, np.inf
     for done in range(cap):
+        cols = factor @ point
         u, s, vh = np.linalg.svd(cols.T.reshape(size, dims.dimA, dims.dimB),
                                  full_matrices=False)
-        tails = [np.sum(row[target:] * row[target:]) / np.sum(row * row)
-                 for row in s if np.sum(row * row) > 1e-14]
-        largest = max(tails, default=0.0)
+        s2 = s * s
+        tail = s2[:, target:].sum(axis=1).sum()
+        keep = not mixed or tail < kept_tails[-1]
+        if keep:
+            kept_cols = cols
+            kept_tails.append(tail)
+            largest = max((row[target:].sum() / row.sum() for row in s2
+                           if row.sum() > 1e-14), default=0.0)
+        else:
+            pairs = []
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(kept_tails, kept_tails[1:]))
         if largest < 1e-20:
-            return cols, "converged", done + 1
+            return kept_cols, "converged", done + 1
         if settled or (done % 100 == 0 and largest > 0.81 * checkpoint):
-            return cols, "stalled", done + 1
+            return kept_cols, "stalled", done + 1
         if done + 1 >= cap:
-            return cols, "capped", done + 1
+            return kept_cols, "capped", done + 1
         if done % 100 == 0:
             checkpoint = largest
-        truncated = ((u[..., :target] * s[:, None, :target]) @ vh[:, :target, :]
-                     ).reshape(size, -1).T
-        u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
-        new_cols = factor @ (u @ vh)
-        settled = np.linalg.norm(new_cols - cols, axis=(0, 1)) < 1e-12
-        cols = new_cols
+        if keep:
+            truncated = ((u[..., :target] * s[:, None, :target]) @ vh[:, :target, :]
+                         ).reshape(size, -1).T
+            u, _, vh = np.linalg.svd(factor.conj().T @ truncated, full_matrices=False)
+            step = u @ vh
+            pairs = (pairs + [(point, step)])[-depth - 1:]
+        mixed = len(pairs) == depth + 1
+        point = step
+        if mixed:
+            res = np.diff([(g - x).reshape(-1) for x, g in pairs], axis=0)
+            steps = np.diff([g.reshape(-1) for _, g in pairs], axis=0)
+            last = (step - pairs[-1][0]).reshape(-1, 1)
+            gram = res.conj() @ res.T
+            ridge = 1e-10 * np.trace(gram).real + np.finfo(float).tiny
+            gamma = np.linalg.solve(gram + ridge * np.eye(depth), res.conj() @ last)
+            mix = step.reshape(-1, 1) - steps.T @ gamma
+            u, _, vh = np.linalg.svd(mix.reshape(rank, size), full_matrices=False)
+            point = u @ vh
+        settled = np.linalg.norm(factor @ point - kept_cols, axis=(0, 1)) < 1e-12
 
 
 def sequential_remix(omega, budget, seed, floor):
@@ -251,13 +299,14 @@ def bare_mixture(rng, d, r):
 
 
 @pytest.mark.parametrize("make, budget, seed, floor, accepted, trials", [
-    # SN 2 searched from floor 1 at a small budget: target 1 stalls until its
-    # share runs out inside the chunk of trials 7..14, and target 2 caps.
-    (lambda: bare_mixture(rng_for(0, "schmidt/remix-bare"), 3, 2), 40, 0, 1, [], 9),
+    # The tiles UPB state (Schmidt number 2) from its loose floor 1 at a small
+    # budget: target 1 stalls until its share runs out inside the chunk of
+    # trials 3..6, and target 2 caps.
+    (tiles_upb_state, 5, 0, 1, [], 5),
     # A separable state: target 1 converges at trial 0.
     (lambda: isotropic_state(3, 0.2), 100, 0, 1, [(0, 1)], 1),
-    # SN 2 from floor 1: 23 target-1 trials stall, then target 2 converges.
-    (lambda: isotropic_state(3, 0.5), 100, 0, 1, [(0, 2)], 24),
+    # SN 2 from floor 1: 51 target-1 trials stall, then target 2 converges.
+    (lambda: isotropic_state(3, 0.5), 100, 0, 1, [(0, 2)], 52),
     # The same state from its certified floor skips target 1.
     (lambda: isotropic_state(3, 0.5), 100, 0, 2, [(0, 2)], 1),
     # A 4x4 product mixture: target 1 converges at trial 0.
@@ -280,9 +329,9 @@ def test_remix_batches_match_sequential_trials(make, budget, seed, floor,
 
 
 @pytest.mark.parametrize("make, target, cap, statuses", [
-    # Rows that stop moving and rows that hit a small cap.
-    (tiles_upb_state, 1, 80, ["stalled", "capped", "capped", "capped",
-                              "capped", "stalled", "capped", "capped"]),
+    # Rows that hit a small cap and rows that stop moving.
+    (tiles_upb_state, 1, 40, ["capped", "capped", "stalled", "stalled",
+                              "stalled", "stalled", "capped", "stalled"]),
     # A row whose tail stops falling, then rows that converge.
     (lambda: bare_mixture(rng_for(0, "schmidt/generating/3x3-r2"), 3, 2), 2, 10000,
      ["stalled", "converged", "converged"]),
