@@ -65,11 +65,11 @@ def _build_state(args, recipe: str):
     if recipe == "snk":
         if args.n < 1:
             raise ValidationError(f"--n must be >= 1, got {args.n}")
+        grid = constructions.RotationGrid(points=args.grid, arc=1.0 / args.n)
         left = constructions.orthogonal_fourier_family(
             args.k, args.m, args.decay, seed=args.seed)
         right = constructions.orthogonal_fourier_family(
             args.k, args.m, args.decay, seed=args.seed + 1)
-        grid = constructions.RotationGrid(points=args.grid, arc=1.0 / args.n)
         return constructions.build_sn_k_state(left, right, grid)
     if recipe == "isotropic":
         return constructions.isotropic_state(args.d, args.fidelity)

@@ -29,6 +29,10 @@ NONVANISHING_FLOOR = 1e-6
 # Phase randomizations orthogonal_fourier_family tries after the first build.
 FAMILY_RETRIES = 100
 
+# Hard cap on the points of a rotation grid: the rotation state is built
+# one ensemble member per point.
+MAX_GRID_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class FourierVector:
@@ -65,6 +69,9 @@ class RotationGrid:
     def __post_init__(self):
         if self.points < 1:
             raise ValidationError("grid needs at least one point")
+        if self.points > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid points are capped at {MAX_GRID_POINTS}, got {self.points}")
         if not 0.0 < self.arc <= 1.0:
             raise ValidationError(f"arc fraction must lie in (0,1], got {self.arc}")
 
@@ -249,11 +256,12 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
     """
     phi = fourier_profile(m, decay)
     rows = []
-    for n_points in grids:
-        state = build_rotation_state(phi, phi, RotationGrid(points=n_points))
+    # The list validates every grid before the first state is built.
+    for grid in [RotationGrid(points=n_points) for n_points in grids]:
+        state = build_rotation_state(phi, phi, grid)
         lam, _ = schmidt.max_subtractable(
             state, r=1, restarts=samples,
-            seed=derive_seed(seed, f"erosion/{n_points}"), tol=tol,
+            seed=derive_seed(seed, f"erosion/{grid.points}"), tol=tol,
         )
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
@@ -262,7 +270,7 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
             for _, psi in state.ensemble
         )
         rows.append({
-            "grid": int(n_points),
+            "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),
             "optimized": float(lam),
             "member_best": float(member_best),

@@ -619,8 +619,10 @@ def _project_to_support_sr(phis: np.ndarray, support: np.ndarray,
     their kernel masses.  Each row stops on its own once its mass is below
     `target` (mass 1.0 if orthogonal to the support) and gives the same bits
     as projecting it alone.  Converges linearly when the intersection is
-    transversal; may stall at a positive residual when the support holds no
-    rank-r states near the start.
+    transversal.  When the support holds no rank-r states near the start the
+    iteration stalls at a positive residual; a row whose truncation step
+    moves it by less than 1e-12 has reached that fixed point and stops,
+    keeping the vector its mass was measured on.
     """
     phis = np.array(phis, dtype=np.complex128)
     masses = np.full(len(phis), np.inf)
@@ -628,7 +630,7 @@ def _project_to_support_sr(phis: np.ndarray, support: np.ndarray,
     active = np.arange(len(phis))
     for _ in range(iters):
         inside = (support @ (support_h @ phis[active, :, None]))[..., 0]
-        norms = np.array([np.linalg.norm(v) for v in inside])
+        norms = np.linalg.norm(inside, axis=1)
         empty = norms <= 1e-300
         masses[active] = np.where(empty, 1.0, np.maximum(0.0, 1.0 - norms * norms))
         going = ~empty & (masses[active] >= target)
@@ -637,9 +639,10 @@ def _project_to_support_sr(phis: np.ndarray, support: np.ndarray,
             break
         a, bh = _schmidt_factors(inside[going].reshape(-1, dims.dimA, dims.dimB), r)
         rows = (a @ bh).reshape(active.size, -1)
-        for row in rows:
-            row /= np.linalg.norm(row)
-        phis[active] = rows
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        moving = np.linalg.norm(rows - phis[active], axis=1) >= 1e-12
+        active = active[moving]
+        phis[active] = rows[moving]
     return phis, masses
 
 
@@ -654,11 +657,12 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     support vectors) are driven into it by plain alternating projection;
     tilting that search collapses the start diversity into a single basin.
     Two masked projections run over all starts: even starts and kernel-seesaw
-    rows of mass in (0, 1e-6] take 500 steps to 1e-13, then rows left in
-    (1e-14, rel_cutoff] take 2000 steps to 1e-14 and must end <= 1e-13.  On
-    a full support feasibility is free and an exact seesaw descent of the
-    normalized pseudo-inverse picks heavy candidates instead.  Feasible
-    points are deduplicated by overlap and ordered by decreasing weight.
+    rows of mass in (0, 1e-6] take up to 500 steps to 1e-13, then rows left
+    in (1e-14, rel_cutoff] take up to 2000 steps to 1e-14 and must end
+    <= 1e-13.  On a full support feasibility is free and an exact seesaw
+    descent of the normalized pseudo-inverse picks heavy candidates
+    instead.  Feasible points are deduplicated by overlap and ordered by
+    decreasing weight.
     `spectral` is ``linalg.support_kernel(matrix, tol.rel_cutoff)``.
     """
     support, vals, kernel = spectral

@@ -66,7 +66,7 @@ class PureState:
             )
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+            raise ValidationError(f"state norm {float(norm)} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_schmidt", None)
@@ -113,7 +113,7 @@ def _validated_ensemble(matrix: np.ndarray, dims: BipartiteDims,
     if np.any(weights < -1e-12):
         raise ValidationError("ensemble weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-10:
-        raise ValidationError(f"ensemble weights sum to {weights.sum()!r}, not 1")
+        raise ValidationError(f"ensemble weights sum to {float(weights.sum())}, not 1")
     mix = np.zeros_like(matrix)
     for w, psi in members:
         if psi.dims != dims:

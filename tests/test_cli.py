@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schmlab import cli
+from schmlab import cli, constructions
 from schmlab.channels import completely_depolarizing, identity_channel
 from schmlab.errors import NumericError, ValidationError
 from schmlab.io import load_state, save_channel, save_state
@@ -182,6 +182,27 @@ def test_sweep_rotation_rejects_empty_grids(tmp_path, grids):
     code = cli.main(["sweep", "rotation", "--grids", grids, "--json", str(report)])
     assert code == 2
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze-state", "--recipe", "rotation", "--grid", "4097"],
+    ["build", "snk", "--grid", "100000000"],
+    ["sweep", "rotation", "--grids", "4,100000000"],
+], ids=["analyze-rotation", "build-snk", "sweep-rotation"])
+def test_grid_cap_exits_2_before_building(tmp_path, capsys, monkeypatch, argv):
+    # One ensemble member per grid point: an oversized grid is refused before
+    # the first state is built, even after a valid sweep size.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rotation state was built")
+
+    monkeypatch.setattr(constructions, "build_rotation_state", forbidden)
+    monkeypatch.setattr(constructions, "build_sn_k_state", forbidden)
+    out = tmp_path / "out.json"
+    flag = "--out" if argv[0] == "build" else "--json"
+    assert cli.main([*argv, flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid points are capped at 4096" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_rotation(tmp_path):

@@ -212,6 +212,9 @@ def test_certify_snk_full():
 def test_grid_validation_and_warning():
     with pytest.raises(ValidationError):
         RotationGrid(points=0)
+    assert RotationGrid(points=4096).points == 4096
+    with pytest.raises(ValidationError, match="capped at 4096, got 4097"):
+        RotationGrid(points=4097)
     with pytest.raises(ValidationError):
         RotationGrid(points=4, arc=0.0)
     phi = fourier_profile(3)

@@ -87,6 +87,17 @@ def test_load_rejects_non_psd(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("first, shown", [(1e308, "inf"), (0.0, "0.0")])
+def test_load_reports_the_norm_as_a_plain_float(tmp_path, first, shown):
+    doc = {"dimA": 2, "dimB": 2, "kind": "pure", "data": [[first, 0.0]] + [[0.0, 0.0]] * 3}
+    path = tmp_path / "unnormalized.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as info, np.errstate(over="ignore"):
+        load_state(path)
+    assert f"state norm {shown} is not 1" in str(info.value)
+    assert "np.float64" not in str(info.value)
+
+
 def test_load_rejects_unreadable_files(tmp_path):
     with pytest.raises(ValidationError, match="cannot read"):
         load_state(tmp_path / "absent.json")
