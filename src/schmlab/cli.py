@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import __version__, constructions, io, schmidt
 from .channels import certify_peb, kraus_rank_profile
@@ -282,15 +283,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as ``warning: <message>``, without a source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 0 <= args.seed < SEED_LIMIT:
-            raise ValidationError(f"--seed must lie in [0, 2^63), got {args.seed}")
-        for path in (args.json_path, getattr(args, "out", None)):
-            if path:
-                io.check_writable(path)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if not 0 <= args.seed < SEED_LIMIT:
+                raise ValidationError(f"--seed must lie in [0, 2^63), got {args.seed}")
+            for path in (args.json_path, getattr(args, "out", None)):
+                if path:
+                    io.check_writable(path)
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import schmidt
+from . import linalg, schmidt
 from .errors import ValidationError
 from .linalg import BipartiteDims
 from .sampling import derive_seed, rng_for
@@ -265,8 +265,10 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
         )
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
+        support, vals, _ = linalg.support_kernel(state.matrix, tol.rel_cutoff)
         member_best = max(
-            schmidt.max_subtraction(state, DensityMatrix.from_pure(psi), tol)
+            schmidt._max_subtraction_raw(state.matrix, support, vals, psi.projector(),
+                                         kernel_tol=tol.rel_cutoff)
             for _, psi in state.ensemble
         )
         rows.append({

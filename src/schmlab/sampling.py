@@ -39,10 +39,15 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
     g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return _phase_fixed_q(g)
+
+
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q factors of a (..., rows, cols) Ginibre stack, times R's diagonal phases."""
     q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_pure_state(rng: np.random.Generator, dims: BipartiteDims) -> PureState:
@@ -54,15 +59,27 @@ def random_sr_pure_state(rng: np.random.Generator, dims: BipartiteDims,
                          r: int) -> PureState:
     """Random pure state with Schmidt rank exactly min(r, dimA, dimB).
 
-    Built as sum_k c_k a_k ⊗ b_k with orthonormal local frames and strictly
-    positive random coefficients.
+    The one-row case of `random_sr_amplitudes`.
+    """
+    return PureState(random_sr_amplitudes([rng], dims, r)[0], dims)
+
+
+def random_sr_amplitudes(rngs, dims: BipartiteDims, r: int) -> np.ndarray:
+    """(len(rngs), dims.total) unit rows of Schmidt rank exactly min(r, dimA, dimB).
+
+    Row i is sum_k c_k a_k ⊗ b_k with orthonormal local frames and strictly
+    positive random coefficients, drawn from ``rngs[i]`` alone in the order
+    A frame, B frame, coefficients.  The frames of all rows come from one
+    batched QR per side, so a row has the same bits however many are drawn.
     """
     r = min(r, dims.min_dim)
-    a = random_isometry(rng, dims.dimA, r)
-    b = random_isometry(rng, dims.dimB, r)
-    c = rng.uniform(0.2, 1.0, size=r)
-    coeff = (a * c) @ b.T
-    return PureState.normalized(coeff.reshape(-1), dims)
+    draws = [(rng.normal(size=(dims.dimA, r)) + 1j * rng.normal(size=(dims.dimA, r)),
+              rng.normal(size=(dims.dimB, r)) + 1j * rng.normal(size=(dims.dimB, r)),
+              rng.uniform(0.2, 1.0, size=r)) for rng in rngs]
+    ga, gb, c = (np.stack(part) for part in zip(*draws))
+    a, b = _phase_fixed_q(ga), _phase_fixed_q(gb)
+    rows = ((a * c[:, None, :]) @ b.transpose(0, 2, 1)).reshape(len(draws), -1)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def random_product_state(rng: np.random.Generator, dims: BipartiteDims) -> PureState:

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ValidationError, WitnessDegenerateError
 from .linalg import BipartiteDims
-from .sampling import derive_seed, rng_for, random_sr_pure_state
+from .sampling import derive_seed, random_sr_amplitudes, rng_for
 from .states import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -147,6 +147,22 @@ def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Opti
         return None
 
 
+def _anderson_mix(d_res: np.ndarray, d_g: np.ndarray, res: np.ndarray,
+                  step: np.ndarray) -> np.ndarray:
+    """Anderson mix ``step - d_g^T gamma`` of each row of an (n, m) stack.
+
+    ``gamma = argmin |res - d_res^T gamma|`` over the rows' (n, depth, m)
+    histories of residual differences `d_res` and plain-step differences
+    `d_g`, from normal equations with a ridge of 1e-10 of the Gram trace
+    that keeps them solvable; one stacked solve serves every row.
+    """
+    gram = d_res.conj() @ d_res.transpose(0, 2, 1)
+    ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
+    gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(d_res.shape[1]),
+                            d_res.conj() @ res[..., None])
+    return (step[..., None] - d_g.transpose(0, 2, 1) @ gamma)[..., 0]
+
+
 def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
                   trials: range, cap: int) -> list[tuple[np.ndarray, str, int]]:
     """Polish each remix trial toward Schmidt rank `target`, in trial order.
@@ -246,14 +262,8 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
             mixed = streak > ANDERSON_DEPTH
             point = step
             if mixed.any():
-                # gamma = argmin |res - d_res^T gamma| (a small ridge keeps the
-                # normal equations solvable); the candidate is g - d_g^T gamma.
-                dr, dg = d_res[mixed], d_g[mixed]
-                gram = dr.conj() @ dr.transpose(0, 2, 1)
-                ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
-                gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(ANDERSON_DEPTH),
-                                        dr.conj() @ res[mixed].reshape(-1, rank * size, 1))
-                mix = step[mixed].reshape(-1, rank * size, 1) - dg.transpose(0, 2, 1) @ gamma
+                mix = _anderson_mix(d_res[mixed], d_g[mixed], res[mixed].reshape(-1, rank * size),
+                                    step[mixed].reshape(-1, rank * size))
                 u, _, vh = np.linalg.svd(mix.reshape(-1, rank, size), full_matrices=False)
                 point = step.copy()
                 point[mixed] = u @ vh
@@ -381,6 +391,28 @@ def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0,
 # Minimal overlap of bounded-Schmidt-rank states with a PSD operator
 # ---------------------------------------------------------------------------
 
+def _frame_forms(p: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Quadratic forms of an operator restricted to a stack of side frames.
+
+    `p` is the operator as (d, f, f, d) over (frame row, free row, free
+    column, frame column) and `frames` an (n, d, r) stack.  Row n of the
+    result is the (r*f, r*f) form over (frame column k, free index) pairs:
+    ``sum_ij conj(frames[n, i, k]) p[i, x, y, j] frames[n, j, l]``.  Each
+    frame column l takes two batched products, one BLAS call per row each,
+    and writes its block in place, so no intermediate is larger than the
+    form itself.
+    """
+    n, d, r = frames.shape
+    f = p.shape[1]
+    form = np.empty((n, r, f, r, f), dtype=np.complex128)
+    left = frames.conj().transpose(0, 2, 1)
+    for l in range(r):
+        # (n, d*f*f, 1): frame column l contracted; the frame row leads.
+        right = p.reshape(-1, d) @ frames[:, :, l, None]
+        form[:, :, :, l, :] = (left @ right.reshape(n, d, f * f)).reshape(n, r, f, f)
+    return form.reshape(n, r * f, r * f)
+
+
 def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
                         b: np.ndarray, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact alternating minimization of <phi|P|phi> over Schmidt rank <= r.
@@ -389,22 +421,27 @@ def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
     bottom eigenvector of a contracted (r*d)-dimensional quadratic form, so
     every sweep is a pair of exact eigenproblems.  `p4` is the operator
     reshaped to (dA, dB, dA, dB) and `b` an (n, dB, r) stack of starting
-    B frames.  All starts descend together as rows; a row freezes once its
-    value settles.  Returns each row's value and unit vector phi.
+    B frames.  All starts descend together as rows: each sweep makes one
+    batched QR, the batched products of `_frame_forms` and one batched
+    `eigh` per side.  A row freezes once its value moves by less
+    than 1e-12, and every row gives the same bits as a call on it alone.
+    Returns each row's value and unit vector phi.
     """
     dA, dB = dims.dimA, dims.dimB
+    # The operator laid out for each side's forms: frame indices outermost.
+    p_for_a = np.ascontiguousarray(p4.transpose(1, 0, 2, 3))
+    p_for_b = np.ascontiguousarray(p4.transpose(0, 1, 3, 2))
     a = np.empty((len(b), dA, r), dtype=np.complex128)
     b = np.array(b, dtype=np.complex128)
     values = np.full(len(b), np.inf)
     active = np.arange(len(b))
     for _ in range(sweeps):
         # B orthonormal -> solve for the A-side stack.
-        ob = np.linalg.qr(b[active])[0]
-        qa = np.einsum("aibj,nik,njl->nkalb", p4, ob.conj(), ob).reshape(-1, r * dA, r * dA)
+        qa = _frame_forms(p_for_a, np.linalg.qr(b[active])[0])
         vecs = np.linalg.eigh((qa + qa.conj().transpose(0, 2, 1)) / 2)[1]
         # A orthonormal -> solve for the B-side stack.
         oa = np.linalg.qr(vecs[:, :, 0].reshape(-1, r, dA).transpose(0, 2, 1))[0]
-        qb = np.einsum("aibj,nak,nbl->nkilj", p4, oa.conj(), oa).reshape(-1, r * dB, r * dB)
+        qb = _frame_forms(p_for_b, oa)
         vals, vecs = np.linalg.eigh((qb + qb.conj().transpose(0, 2, 1)) / 2)
         a[active] = oa
         b[active] = vecs[:, :, 0].reshape(-1, r, dB).transpose(0, 2, 1)
@@ -414,9 +451,7 @@ def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
         if active.size == 0:
             break
     phis = (a @ b.transpose(0, 2, 1)).reshape(len(b), -1)
-    for phi in phis:
-        phi /= np.linalg.norm(phi)
-    return values, phis
+    return values, phis / np.linalg.norm(phis, axis=1, keepdims=True)
 
 
 def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
@@ -442,14 +477,80 @@ def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
     return float(values[best]), PureState(phis[best], dims)
 
 
+def _overlap_descent(p: np.ndarray, phis: np.ndarray, dims: BipartiteDims,
+                     r: int) -> np.ndarray:
+    """Anderson-mixed shift-and-invert descent of <phi|P|phi>, row by row.
+
+    The plain step g(phi) applies ``(P + OVERLAP_SHIFT)^-1`` to the
+    (n, dims.total) unit rows, truncates them to Schmidt rank `r` and
+    renormalizes, so it pushes every row toward the bottom of P.  Rows are
+    mixed the way `_remix_polish` mixes its rows: once a row has kept
+    `ANDERSON_DEPTH + 1` consecutive points, it Anderson-mixes their pairs
+    ``(phi, g(phi))`` and truncates and renormalizes the mix.  The next
+    iteration keeps that candidate only if it lowers <phi|P|phi>; otherwise
+    the row drops its history and takes the plain step, which is always
+    kept.  A row stops once a kept point moves its value by less than 1e-14,
+    or after 150 evaluations; it returns its last kept point.  Every row
+    gives the same bits as a call on it alone.
+    """
+    dA, dB = dims.dimA, dims.dimB
+    resolvent = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total))
+
+    def truncated(vecs):
+        a, bh = _schmidt_factors(vecs.reshape(-1, dA, dB), r)
+        vecs = (a @ bh).reshape(len(vecs), dims.total)
+        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+    def value(vecs):
+        return np.einsum("ij,ij->i", vecs.conj(), (p @ vecs[..., None])[..., 0]).real
+
+    out = np.array(phis, dtype=np.complex128)
+    kept, kept_value = out, value(out)
+    step = truncated((resolvent @ kept[..., None])[..., 0])
+    point = step
+    rows = np.arange(len(out))  # each live row's index into `out`
+    mixed = np.zeros(rows.size, dtype=bool)  # `point` is an Anderson candidate
+    streak = np.zeros(rows.size, dtype=int)  # points kept since the last drop
+    # The last ANDERSON_DEPTH differences of kept residuals g(phi) - phi and
+    # of plain steps, oldest first.
+    d_res = np.zeros((rows.size, ANDERSON_DEPTH, dims.total), dtype=complex)
+    d_g = d_res
+    for _ in range(150):
+        point_value = value(point)
+        keep = ~mixed | (point_value < kept_value)
+        going = ~keep | (np.abs(point_value - kept_value) >= 1e-14)
+        prev_res, prev_g = step - kept, step
+        kept = np.where(keep[:, None], point, kept)
+        kept_value = np.where(keep, point_value, kept_value)
+        streak = np.where(keep, streak + 1, 0)
+        out[rows] = kept
+        if not going.any():
+            break
+        (rows, keep, streak, point, kept, kept_value, step, prev_res, prev_g, d_res, d_g) = (
+            a[going] for a in (rows, keep, streak, point, kept, kept_value, step,
+                               prev_res, prev_g, d_res, d_g))
+        step[keep] = truncated((resolvent @ point[keep][..., None])[..., 0])
+        res = step - kept
+        d_res = np.concatenate([d_res[:, 1:], (res - prev_res)[:, None]], axis=1)
+        d_g = np.concatenate([d_g[:, 1:], (step - prev_g)[:, None]], axis=1)
+        mixed = streak > ANDERSON_DEPTH
+        point = step
+        if mixed.any():
+            point = step.copy()
+            point[mixed] = truncated(_anderson_mix(d_res[mixed], d_g[mixed], res[mixed],
+                                                   step[mixed]))
+    return out
+
+
 def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
                    seed: int = 0) -> tuple[float, PureState]:
     """epsilon = min <phi|P|phi> over pure phi with Schmidt rank <= r.
 
-    Multi-start alternating descent that pushes toward the bottom of P by
-    shift-and-invert, then SVD-truncates back to Schmidt rank r; all
-    restarts descend together as rows of one array, and a row freezes once
-    its value settles.  The descent alone can stop above the minimum, so
+    Restart i starts from a random Schmidt-rank-r state drawn from its own
+    stream ``rng_for(seed, f"min_overlap/{i}")``; all starts are drawn as
+    one batch by `random_sr_amplitudes`.  Every start then runs the
+    Anderson-mixed shift-and-invert descent of `_overlap_descent`, all as
+    rows of one array.  The descent alone can stop above the minimum, so
     every row is then finished by the exact alternating minimization of
     `_seesaw_min_overlap`, started from that row's B factor.  The first
     minimum over the finished rows wins.  The landscape is nonconvex; the
@@ -465,24 +566,9 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
     dA, dB = dims.dimA, dims.dimB
-    resolvent_t = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total)).T
-    phis = np.stack([
-        random_sr_pure_state(rng_for(seed, f"min_overlap/{i}"), dims, r).amplitudes
-        for i in range(restarts)
-    ])
-    values = np.einsum("ij,ij->i", phis.conj(), phis @ p.T).real
-    active = np.arange(restarts)
-    for _ in range(150):
-        a, bh = _schmidt_factors((phis[active] @ resolvent_t).reshape(-1, dA, dB), r)
-        step = (a @ bh).reshape(active.size, -1)
-        step /= np.linalg.norm(step, axis=1, keepdims=True)
-        step_values = np.einsum("ij,ij->i", step.conj(), step @ p.T).real
-        moving = np.abs(step_values - values[active]) >= 1e-14
-        phis[active], values[active] = step, step_values
-        active = active[moving]
-        if active.size == 0:
-            break
-
+    starts = random_sr_amplitudes(
+        [rng_for(seed, f"min_overlap/{i}") for i in range(restarts)], dims, r)
+    phis = _overlap_descent(p, starts, dims, r)
     frames = _schmidt_factors(phis.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
     values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
     best = int(np.argmin(values))  # first minimum: lowest restart index

@@ -64,7 +64,8 @@ class PureState:
             raise ValidationError(
                 f"amplitude length {amp.size} does not match dims {dims}"
             )
-        norm = np.linalg.norm(amp)
+        with np.errstate(over="ignore"):  # huge entries give norm inf, refused below
+            norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {float(norm)} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
@@ -143,12 +144,14 @@ class DensityMatrix:
         m = linalg.as_matrix(matrix, "density matrix")
         if m.shape != (dims.total, dims.total):
             raise ValidationError(f"matrix shape {m.shape} does not match dims {dims}")
-        dev = np.linalg.norm(m - m.conj().T)
-        if dev > HERM_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValidationError(f"density matrix deviates from Hermitian by {dev:.3e}")
-        m = (m + m.conj().T) / 2
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        # Huge entries overflow to inf or NaN here; the trace check refuses both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.linalg.norm(m - m.conj().T)
+            if dev > HERM_TOL * max(1.0, np.linalg.norm(m)):
+                raise ValidationError(f"density matrix deviates from Hermitian by {dev:.3e}")
+            m = (m + m.conj().T) / 2
+            tr = float(np.trace(m).real)
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
         slack = float(np.linalg.eigvalsh(m)[0])
         if slack < PSD_FLOOR:

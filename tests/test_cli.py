@@ -67,6 +67,40 @@ def test_analyze_non_psd_exits_2(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("kind, entries", [
+    ("pure", {0: [1e308, 0.0]}),
+    # Diagonal entries of opposite sign make the trace NaN after overflow.
+    ("mixed", {0: [1e308, 0.0], 5: [-1e308, 0.0], 1: [1e308, 1e308], 4: [1e308, -1e308]}),
+])
+def test_overflowing_state_prints_only_the_error(tmp_path, kind, entries):
+    # Entries whose squares overflow are refused with schmlab's own message;
+    # numpy's overflow warnings never reach stderr.
+    size = 4 if kind == "pure" else 16
+    data = [entries.get(i, [0.0, 0.0]) for i in range(size)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimA": 2, "dimB": 2, "kind": kind, "data": data}))
+    proc = run_cli("analyze-state", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert ("state norm inf" if kind == "pure" else "trace nan") in lines[0]
+
+
+@pytest.mark.parametrize("argv, points, modes", [
+    (["sweep", "rotation", "--grids", "4"], 4, 3),
+    (["analyze-state", "--recipe", "rotation", "--grid", "3", "--effort", "quick"], 3, 2),
+])
+def test_aliasing_warning_prints_only_its_message(argv, points, modes):
+    # A coarse grid warns on stderr without a schmlab source path or line.
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"warning: grid of {points} points under-resolves modes up to {modes}; "
+        "aliasing may distort the group average"
+    ]
+
+
 def test_analyze_channel(tmp_path):
     for channel, expected in ((completely_depolarizing(2), (1, 1)),
                               (identity_channel(3), (3, 3))):

@@ -454,6 +454,70 @@ def test_min_overlap_sr_matches_per_restart_descent():
     assert schmidt_rank(argmin) == r
 
 
+@pytest.mark.parametrize("dA, dB, r", [(3, 3, 1), (4, 5, 2), (2, 3, 3)])
+def test_sr_amplitudes_match_per_restart_draws(dA, dB, r):
+    # One batched draw gives every restart the state its own stream gives
+    # alone, drawn in the order A frame, B frame, coefficients.
+    from schmlab.sampling import random_isometry, random_sr_amplitudes
+
+    dims = BipartiteDims(dA, dB)
+    rows = random_sr_amplitudes([rng_for(5, f"min_overlap/{i}") for i in range(9)], dims, r)
+    assert rows.shape == (9, dims.total)
+    rank = min(r, dims.min_dim)
+    for i, row in enumerate(rows):
+        one = random_sr_pure_state(rng_for(5, f"min_overlap/{i}"), dims, r).amplitudes
+        assert np.allclose(row, one, rtol=0, atol=1e-15)
+        rng = rng_for(5, f"min_overlap/{i}")
+        a, b = random_isometry(rng, dA, rank), random_isometry(rng, dB, rank)
+        coeff = (a * rng.uniform(0.2, 1.0, size=rank)) @ b.T
+        assert np.allclose(row, coeff.reshape(-1) / np.linalg.norm(coeff), rtol=0, atol=1e-15)
+        assert schmidt_rank(PureState(row, dims)) == rank
+
+
+@pytest.mark.parametrize("dA, dB, r", [(2, 3, 1), (2, 3, 2), (4, 3, 1), (4, 3, 2), (4, 3, 3)])
+def test_seesaw_forms_match_einsum(dA, dB, r):
+    # The contracted forms the seesaw builds by batched products equal the
+    # three-operand einsum they replace, on both sides.
+    from schmlab.schmidt import _frame_forms
+
+    rng = rng_for(16, f"schmidt/forms/{dA}x{dB}-r{r}")
+    n = dA * dB
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    p = g @ g.conj().T
+    p4 = (p / np.trace(p).real).reshape(dA, dB, dA, dB)
+    ob = np.linalg.qr(rng.normal(size=(5, dB, r)) + 1j * rng.normal(size=(5, dB, r)))[0]
+    oa = np.linalg.qr(rng.normal(size=(5, dA, r)) + 1j * rng.normal(size=(5, dA, r)))[0]
+    qa = np.einsum("aibj,nik,njl->nkalb", p4, ob.conj(), ob).reshape(-1, r * dA, r * dA)
+    qb = np.einsum("aibj,nak,nbl->nkilj", p4, oa.conj(), oa).reshape(-1, r * dB, r * dB)
+    assert np.allclose(_frame_forms(p4.transpose(1, 0, 2, 3), ob), qa, rtol=0, atol=1e-13)
+    assert np.allclose(_frame_forms(p4.transpose(0, 1, 3, 2), oa), qb, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dA, dB, r", [(3, 3, 1), (4, 5, 2)])
+def test_overlap_descent_rows_match_single_row_calls(dA, dB, r):
+    # The Anderson-mixed descent runs all starts as rows of one array; every
+    # row must give the same bits as a call on that row alone, however long
+    # it runs and however often its candidates are refused.
+    from schmlab.sampling import random_sr_amplitudes
+    from schmlab.schmidt import _overlap_descent
+
+    dims = BipartiteDims(dA, dB)
+    rng = rng_for(17, f"schmidt/descent/{dA}x{dB}")
+    n = dims.total
+    q, _ = np.linalg.qr(rng.normal(size=(n, n - 3)) + 1j * rng.normal(size=(n, n - 3)))
+    p = q @ q.conj().T
+    starts = random_sr_amplitudes([rng_for(17, f"descent/{i}") for i in range(12)], dims, r)
+    rows = _overlap_descent(p, starts, dims, r)
+    for i in range(len(starts)):
+        assert np.array_equal(_overlap_descent(p, starts[i:i + 1], dims, r), rows[i:i + 1])
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
+    for row in rows:
+        assert schmidt_rank(PureState(row, dims)) <= r
+    values = np.einsum("ij,ij->i", rows.conj(), rows @ p.T).real
+    starts_values = np.einsum("ij,ij->i", starts.conj(), starts @ p.T).real
+    assert np.all(values < starts_values)
+
+
 def test_witness_from_lambda():
     omega = DensityMatrix.from_pure(maximally_entangled(2))
     w = witness_from_lambda(omega)
