@@ -22,6 +22,7 @@ from .linalg import BipartiteDims
 from .sampling import random_density_matrix, random_isometry, random_povm
 from .states import (
     DEFAULT_TOL,
+    MEMBER_FLOOR,
     DensityMatrix,
     PureState,
     RankTolerance,
@@ -127,7 +128,7 @@ def kraus_to_choi(channel: QuantumChannel,
         vec = (v @ ref_matrix).reshape(-1)
         weight = float(np.vdot(vec, vec).real)
         total += np.outer(vec, vec.conj())
-        if weight > 1e-14:
+        if weight > MEMBER_FLOOR:
             members.append((weight, PureState.normalized(vec, dims)))
     norm = sum(w for w, _ in members)
     members = [(w / norm, psi) for w, psi in members]

@@ -141,11 +141,6 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
-
-
 def trace_distance(a, b) -> float:
     """(1/2)||a - b||_1 for Hermitian a, b."""
     diff = hermitize(as_matrix(a) - as_matrix(b), tol=np.inf)

@@ -26,6 +26,7 @@ from .linalg import BipartiteDims
 from .sampling import derive_seed, random_sr_amplitudes, rng_for
 from .states import (
     DEFAULT_TOL,
+    MEMBER_FLOOR,
     DensityMatrix,
     Ensemble,
     PureState,
@@ -43,8 +44,8 @@ OVERLAP_SHIFT = 1e-3
 REMIX_CAP = 10000
 REMIX_STATUSES = ("converged", "stalled", "capped")
 
-# Differences of kept (point, plain step) pairs that a remix row's Anderson
-# step mixes; a row mixes once it has kept one point more than this in a row.
+# Differences of kept (point, plain step) pairs that an `_AndersonRows` row
+# mixes; a row mixes once it has kept one point more than this in a row.
 ANDERSON_DEPTH = 5
 
 
@@ -137,7 +138,7 @@ def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Opti
     a, bh = _schmidt_factors(cols.T.reshape(-1, dims.dimA, dims.dimB), target)
     members = (a @ bh).reshape(cols.shape[1], -1)
     weights = np.linalg.norm(members, axis=1) ** 2
-    keep = weights > 1e-14
+    keep = weights > MEMBER_FLOOR
     total = weights[keep].sum()
     ensemble = [(w / total, PureState.normalized(m, dims))
                 for w, m in zip(weights[keep], members[keep])]
@@ -147,20 +148,83 @@ def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Opti
         return None
 
 
-def _anderson_mix(d_res: np.ndarray, d_g: np.ndarray, res: np.ndarray,
-                  step: np.ndarray) -> np.ndarray:
-    """Anderson mix ``step - d_g^T gamma`` of each row of an (n, m) stack.
+class _AndersonRows:
+    """Safeguarded Anderson mixing of a stack of fixed-point rows.
 
-    ``gamma = argmin |res - d_res^T gamma|`` over the rows' (n, depth, m)
-    histories of residual differences `d_res` and plain-step differences
-    `d_g`, from normal equations with a ridge of 1e-10 of the Gram trace
-    that keeps them solvable; one stacked solve serves every row.
+    Each row of an (n, m) stack iterates a caller's plain step g toward a
+    fixed point, and the engine mixes it (Walker & Ni, SIAM J. Numer. Anal.
+    49, 2011).  It holds each row's kept point, that point's value and
+    plain step, and the row's next proposal `point`.  A row that has kept
+    `ANDERSON_DEPTH + 1` points in a row proposes the mix of their last
+    `ANDERSON_DEPTH` differences of ``(x, g(x))``, retracted by the caller;
+    any other row proposes its kept point's plain step.  `judge` always
+    keeps a plain proposal and keeps a mixed one only if its value is
+    strictly below the kept value; a refused row drops its history.  So
+    the kept values never rise beyond what the plain step allows.  The
+    mixing weights solve normal equations with a ridge of 1e-10 of the Gram
+    trace, one stacked solve for every mixing row, so each row gives the
+    same bits as a stack of it alone.
+
+    Each iteration the caller values `point`, passes the values to `judge`,
+    may `drop` the rows its own rules stop, and hands `advance` the plain
+    steps of the rows that kept their points, with its retraction.  Rows
+    start at a kept point with its value, and their first proposal is that
+    point's plain step `step`; a caller that judges its start first passes
+    the start as both `kept` and `step`.
     """
-    gram = d_res.conj() @ d_res.transpose(0, 2, 1)
-    ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
-    gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(d_res.shape[1]),
-                            d_res.conj() @ res[..., None])
-    return (step[..., None] - d_g.transpose(0, 2, 1) @ gamma)[..., 0]
+
+    def __init__(self, kept: np.ndarray, value: np.ndarray, step: np.ndarray):
+        n = len(kept)
+        self.index = np.arange(n)  # each live row's index into the first stack
+        self.kept, self.value, self.step, self.point = kept, value, step, step
+        self.keep = np.ones(n, dtype=bool)  # the last judged proposal was kept
+        self.mixed = np.zeros(n, dtype=bool)  # `point` is a mix
+        self.streak = np.zeros(n, dtype=int)  # points kept since the last drop
+        # The last ANDERSON_DEPTH differences of kept residuals g(x) - x and
+        # of plain steps, oldest first; a row mixes only once they are all its own.
+        self.d_res = np.zeros((n, ANDERSON_DEPTH, kept.shape[1]), dtype=complex)
+        self.d_g = self.d_res
+
+    def judge(self, value: np.ndarray) -> np.ndarray:
+        """Which rows keep their proposals, valued `value`."""
+        self.keep = ~self.mixed | (value < self.value)
+        self.streak = np.where(self.keep, self.streak + 1, 0)
+        self.value = np.where(self.keep, value, self.value)
+        return self.keep
+
+    def drop(self, going: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Keep only the rows `going`, and cut the caller's `arrays` to them."""
+        for name in ("index", "kept", "value", "step", "point", "keep", "mixed", "streak",
+                     "d_res", "d_g"):
+            setattr(self, name, getattr(self, name)[going])
+        return tuple(a[going] for a in arrays)
+
+    def advance(self, plain: np.ndarray, retract) -> None:
+        """Take the judged points and propose the next ones.
+
+        `plain` holds the plain steps of the kept proposals, in row order;
+        `retract` maps a (rows, m) stack of mixes back onto the caller's set.
+        """
+        keep = self.keep
+        prev_res, prev_g = self.step - self.kept, self.step
+        self.kept = np.where(keep[:, None], self.point, self.kept)
+        self.step = self.step.copy()
+        self.step[keep] = plain.reshape(-1, self.step.shape[1])
+        res = self.step - self.kept
+        self.d_res = np.concatenate([self.d_res[:, 1:], (res - prev_res)[:, None]], axis=1)
+        self.d_g = np.concatenate([self.d_g[:, 1:], (self.step - prev_g)[:, None]], axis=1)
+        self.mixed = mixed = self.streak > ANDERSON_DEPTH
+        self.point = self.step
+        if mixed.any():
+            d_res = self.d_res[mixed]
+            gram = d_res.conj() @ d_res.transpose(0, 2, 1)
+            ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
+            gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(ANDERSON_DEPTH),
+                                    d_res.conj() @ res[mixed][..., None])
+            mix = (self.step[mixed][..., None]
+                   - self.d_g[mixed].transpose(0, 2, 1) @ gamma)[..., 0]
+            self.point = self.step.copy()
+            self.point[mixed] = retract(mix)
 
 
 def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
@@ -170,29 +234,31 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     Returns ``(cols, status, iterations)`` per trial: the (dims.total, size)
     member columns and why the row stopped after that many iterations.
     "converged": every member's Schmidt tail beyond `target`, relative to
-    its norm, is below 1e-10.  "stalled": the last step moved the columns by
-    less than 1e-12, or the largest tail fell by less than 10 % over the last
-    100 iterations.  "capped": the row ran `cap` iterations.
+    its norm, is below 1e-10; members the exact acceptance drops are left
+    out.  "stalled": the last step moved the columns by less than 1e-12, or
+    the largest tail fell by less than 10 % over the last 100 iterations.
+    "capped": the row ran `cap` iterations.
 
     A row is a co-isometry U with member columns ``factor @ U``.  Its plain
     step g(U) truncates the members to rank `target` and refits U to them by
     orthogonal Procrustes.  That is an alternating projection, so it never
     raises the total tail: the sum over members of their squared singular
-    values beyond `target`.  Once a row has kept `ANDERSON_DEPTH + 1`
-    consecutive points, it Anderson-mixes their pairs ``(U, g(U))`` (Walker
-    & Ni, SIAM J. Numer. Anal. 49, 2011) and projects the mix back to a
-    co-isometry.  The next iteration keeps that candidate only if its total
-    tail is strictly below the kept point's; otherwise the row drops its
-    history and takes plain steps until it has kept enough points again.
-    Plain steps are always kept, so the kept points' tails never rise beyond
-    roundoff, and the returned columns are the last kept point's.  Every
-    evaluation counts as an iteration.  Trials of one size polish together
-    as rows of one stack and each row stops on its own, so every row gives
-    the same bits as polishing that trial alone.
+    values beyond `target`.  `_AndersonRows` mixes the rows on that value,
+    and projects each mix back to a co-isometry with one polar SVD; a row
+    whose mix it refuses takes no Procrustes refit that iteration.  The
+    returned columns are the last kept point's, and every evaluation counts
+    as an iteration.  Trials of one size polish together as rows of one
+    stack and each row stops on its own, so every row gives the same bits
+    as polishing that trial alone.
     """
     rank = factor.shape[1]
     factor_h = factor.conj().T
     polished = {}
+
+    def polar(mix):
+        u, _, vh = np.linalg.svd(mix.reshape(len(mix), rank, -1), full_matrices=False)
+        return (u @ vh).reshape(len(mix), -1)
+
     for size in range(rank, 2 * rank + 1):
         group = [trial for trial in trials if rank + trial % (rank + 1) == size]
         if not group:
@@ -201,35 +267,27 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
         for trial in group:
             rng = rng_for(seed, f"sn_upper/remix/{trial}")
             draws.append(rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)))
-        # rank x size co-isometries, co_iso @ co_iso† = I: the point each row
-        # evaluates next, the point it kept last, and that point's plain step
-        point = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
-        cols = factor @ point
-        kept, kept_cols, step = point, cols, point
-        rows = np.arange(len(group))  # each live row's index into `group`
-        mixed = np.zeros(rows.size, dtype=bool)  # `point` is an Anderson candidate
-        streak = np.zeros(rows.size, dtype=int)  # points kept since the last drop
-        kept_tail = np.zeros(rows.size)
-        largest = np.zeros(rows.size)
-        checkpoint = np.full(rows.size, np.inf)
-        settled = np.zeros(rows.size, dtype=bool)
-        # The last ANDERSON_DEPTH differences of kept residuals g(U) - U and of
-        # plain steps, oldest first; a row mixes only once they are all its own.
-        d_res = np.zeros((rows.size, ANDERSON_DEPTH, rank * size), dtype=complex)
-        d_g = d_res
+        # rank x size co-isometries, co_iso @ co_iso† = I; the first
+        # proposal is each row's draw itself.
+        start = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
+        cols = factor @ start
+        start = start.reshape(len(group), -1)
+        rows = _AndersonRows(start, np.zeros(len(group)), start)
+        kept_cols, largest = cols, np.zeros(len(group))
+        checkpoint = np.full(len(group), np.inf)
+        settled = np.zeros(len(group), dtype=bool)
         for done in range(cap):
             u, s, vh = np.linalg.svd(
                 cols.transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
                 full_matrices=False)
-            s2 = (s * s).reshape(rows.size, size, -1)
+            s2 = (s * s).reshape(len(cols), size, -1)
             norm2, tail2 = s2.sum(axis=2), s2[..., target:].sum(axis=2)
-            total2 = tail2.sum(axis=1)
-            keep = ~mixed | (total2 < kept_tail)
-            streak = np.where(keep, streak + 1, 0)
-            kept_tail = np.where(keep, total2, kept_tail)
-            # Members the exact acceptance drops (weight <= 1e-14) count as converged.
-            largest = np.where(keep, np.divide(tail2, norm2, out=np.zeros_like(tail2),
-                                               where=norm2 > 1e-14).max(axis=1), largest)
+            keep = rows.judge(tail2.sum(axis=1))
+            # The acceptance drops members of weight <= MEMBER_FLOOR after
+            # truncation; they count as converged.
+            largest = np.where(keep, np.divide(
+                tail2, norm2, out=np.zeros_like(tail2),
+                where=s2[..., :target].sum(axis=2) > MEMBER_FLOOR).max(axis=1), largest)
             kept_cols = np.where(keep[:, None, None], cols, kept_cols)
             stalled = settled
             if done % 100 == 0:
@@ -238,36 +296,19 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
             stop = np.where(largest < 1e-20, 0,
                             np.where(stalled, 1, 2 if done + 1 >= cap else -1))
             truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
-                         ).reshape(rows.size, size, -1).transpose(0, 2, 1)
+                         ).reshape(len(cols), size, -1).transpose(0, 2, 1)
             going = stop < 0
             if not going.all():
                 polished.update((group[i], (c, REMIX_STATUSES[status], done + 1))
-                                for i, c, status in zip(rows[~going], kept_cols[~going],
+                                for i, c, status in zip(rows.index[~going], kept_cols[~going],
                                                         stop[~going]))
                 if not going.any():
                     break
-                (rows, keep, streak, truncated, point, kept, kept_cols, step, kept_tail,
-                 largest, checkpoint, d_res, d_g) = (
-                    a[going] for a in (rows, keep, streak, truncated, point, kept,
-                                       kept_cols, step, kept_tail, largest, checkpoint,
-                                       d_res, d_g))
-            u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
-            prev_res, prev_g = step - kept, step
-            kept = np.where(keep[:, None, None], point, kept)
-            step = np.where(keep[:, None, None], u @ vh, step)
-            res = step - kept
-            flat = (rows.size, 1, -1)
-            d_res = np.concatenate([d_res[:, 1:], (res - prev_res).reshape(flat)], axis=1)
-            d_g = np.concatenate([d_g[:, 1:], (step - prev_g).reshape(flat)], axis=1)
-            mixed = streak > ANDERSON_DEPTH
-            point = step
-            if mixed.any():
-                mix = _anderson_mix(d_res[mixed], d_g[mixed], res[mixed].reshape(-1, rank * size),
-                                    step[mixed].reshape(-1, rank * size))
-                u, _, vh = np.linalg.svd(mix.reshape(-1, rank, size), full_matrices=False)
-                point = step.copy()
-                point[mixed] = u @ vh
-            cols = factor @ point
+                truncated, kept_cols, largest, checkpoint = rows.drop(
+                    going, truncated, kept_cols, largest, checkpoint)
+            u, _, vh = np.linalg.svd(factor_h @ truncated[rows.keep], full_matrices=False)
+            rows.advance(u @ vh, polar)
+            cols = factor @ rows.point.reshape(-1, rank, size)
             settled = np.linalg.norm(cols - kept_cols, axis=(1, 2)) < 1e-12
     return [polished[trial] for trial in trials]
 
@@ -483,15 +524,12 @@ def _overlap_descent(p: np.ndarray, phis: np.ndarray, dims: BipartiteDims,
 
     The plain step g(phi) applies ``(P + OVERLAP_SHIFT)^-1`` to the
     (n, dims.total) unit rows, truncates them to Schmidt rank `r` and
-    renormalizes, so it pushes every row toward the bottom of P.  Rows are
-    mixed the way `_remix_polish` mixes its rows: once a row has kept
-    `ANDERSON_DEPTH + 1` consecutive points, it Anderson-mixes their pairs
-    ``(phi, g(phi))`` and truncates and renormalizes the mix.  The next
-    iteration keeps that candidate only if it lowers <phi|P|phi>; otherwise
-    the row drops its history and takes the plain step, which is always
-    kept.  A row stops once a kept point moves its value by less than 1e-14,
-    or after 150 evaluations; it returns its last kept point.  Every row
-    gives the same bits as a call on it alone.
+    renormalizes, so it pushes every row toward the bottom of P.
+    `_AndersonRows` mixes the rows on <phi|P|phi>, and truncates and
+    renormalizes each mix the same way.  A row stops once a kept point
+    moves its value by less than 1e-14, or after 150 evaluations past its
+    start; it returns its last kept point.  Every row gives the same bits
+    as a call on it alone.
     """
     dA, dB = dims.dimA, dims.dimB
     resolvent = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total))
@@ -501,44 +539,24 @@ def _overlap_descent(p: np.ndarray, phis: np.ndarray, dims: BipartiteDims,
         vecs = (a @ bh).reshape(len(vecs), dims.total)
         return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
+    def plain(vecs):
+        return truncated((resolvent @ vecs[..., None])[..., 0])
+
     def value(vecs):
         return np.einsum("ij,ij->i", vecs.conj(), (p @ vecs[..., None])[..., 0]).real
 
     out = np.array(phis, dtype=np.complex128)
-    kept, kept_value = out, value(out)
-    step = truncated((resolvent @ kept[..., None])[..., 0])
-    point = step
-    rows = np.arange(len(out))  # each live row's index into `out`
-    mixed = np.zeros(rows.size, dtype=bool)  # `point` is an Anderson candidate
-    streak = np.zeros(rows.size, dtype=int)  # points kept since the last drop
-    # The last ANDERSON_DEPTH differences of kept residuals g(phi) - phi and
-    # of plain steps, oldest first.
-    d_res = np.zeros((rows.size, ANDERSON_DEPTH, dims.total), dtype=complex)
-    d_g = d_res
+    rows = _AndersonRows(out.copy(), value(out), plain(out))
     for _ in range(150):
-        point_value = value(point)
-        keep = ~mixed | (point_value < kept_value)
-        going = ~keep | (np.abs(point_value - kept_value) >= 1e-14)
-        prev_res, prev_g = step - kept, step
-        kept = np.where(keep[:, None], point, kept)
-        kept_value = np.where(keep, point_value, kept_value)
-        streak = np.where(keep, streak + 1, 0)
-        out[rows] = kept
+        point_value = value(rows.point)
+        moved = np.abs(point_value - rows.value) >= 1e-14
+        keep = rows.judge(point_value)
+        out[rows.index[keep]] = rows.point[keep]
+        going = ~keep | moved
         if not going.any():
             break
-        (rows, keep, streak, point, kept, kept_value, step, prev_res, prev_g, d_res, d_g) = (
-            a[going] for a in (rows, keep, streak, point, kept, kept_value, step,
-                               prev_res, prev_g, d_res, d_g))
-        step[keep] = truncated((resolvent @ point[keep][..., None])[..., 0])
-        res = step - kept
-        d_res = np.concatenate([d_res[:, 1:], (res - prev_res)[:, None]], axis=1)
-        d_g = np.concatenate([d_g[:, 1:], (step - prev_g)[:, None]], axis=1)
-        mixed = streak > ANDERSON_DEPTH
-        point = step
-        if mixed.any():
-            point = step.copy()
-            point[mixed] = truncated(_anderson_mix(d_res[mixed], d_g[mixed], res[mixed],
-                                                   step[mixed]))
+        rows.drop(going)
+        rows.advance(plain(rows.point[rows.keep]), truncated)
     return out
 
 
@@ -589,47 +607,34 @@ class WitnessOperator:
     margin: float
 
 
-def build_witness(delta: DensityMatrix, k: int, c_op=None, restarts: int = 64,
-                  seed: int = 0, tol: RankTolerance = DEFAULT_TOL) -> WitnessOperator:
-    """Kernel-projector witness W = P - (eps/c) C of order k.
+def build_witness(delta: DensityMatrix, k: int, seed: int = 0) -> WitnessOperator:
+    """Kernel-projector witness W = P - eps I of order k.
 
-    P projects onto the kernel of `delta`, eps is the minimal overlap of
-    Schmidt-rank <= k-1 pure states with P, and c = ||C||.  Then
-    Tr(W sigma) >= 0 on the whole order-(k-1) Schmidt class while
-    Tr(W delta) = -(eps/c) Tr(C delta) < 0.
+    P projects onto the kernel of `delta` and eps is the minimal overlap of
+    Schmidt-rank <= k-1 pure states with P.  Then Tr(W sigma) >= 0 on the
+    whole order-(k-1) Schmidt class while Tr(W delta) = -eps < 0.
     """
     if k < 2:
         raise ValidationError(f"witness order must be >= 2, got {k}")
     dims = delta.dims
-    c_mat = np.eye(dims.total, dtype=np.complex128) if c_op is None \
-        else linalg.hermitize(c_op)
-    if linalg.min_eigenvalue(c_mat) < -CERT_MARGIN:
-        raise ValidationError("C must be positive semidefinite")
-    trace_c_delta = float(np.trace(c_mat @ delta.matrix).real)
-    if trace_c_delta <= 1e-12:
-        raise ValidationError("C must have Tr(C delta) > 0")
-
-    support, _, kernel = linalg.support_kernel(delta.matrix, tol.rel_cutoff)
+    _, _, kernel = linalg.support_kernel(delta.matrix, DEFAULT_TOL.rel_cutoff)
     if kernel.shape[1] == 0:
         raise ValidationError("delta has full rank; kernel-projector witness needs a kernel")
     proj = kernel @ kernel.conj().T
 
-    epsilon, argmin = min_overlap_sr(proj, k - 1, dims, restarts=restarts, seed=seed)
+    epsilon, argmin = min_overlap_sr(proj, k - 1, dims, seed=seed)
     if epsilon <= CERT_MARGIN:
         raise WitnessDegenerateError(
             f"minimal kernel overlap {epsilon:.3e} is below the certification floor; "
             "low-Schmidt-rank states approach the kernel of delta",
             residual=epsilon,
         )
-    c_norm = linalg.operator_norm(c_mat)
-    w = proj - (epsilon / c_norm) * c_mat
+    w = proj - epsilon * np.eye(dims.total)
     margin = float(np.trace(w @ delta.matrix).real)
     recipe = {
         "kind": "kernel_projector",
         "P": proj,
-        "C": c_mat,
         "epsilon": float(epsilon),
-        "c": float(c_norm),
         "seed": int(seed),
         "argmin": argmin.amplitudes,
     }
@@ -918,10 +923,12 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     subtractable Schmidt rank <= k-1 pure states and removes half of the
     best candidate's maximal weight.  Because greedy weight choices along
     overlapping candidates strand removable mass, every discovered
-    candidate is kept in a pool and, whenever the greedy step stalls, the
-    pool weights are reallocated exactly by a small packing program; the
-    loop ends when reallocation stops helping, several consecutive rounds
-    find nothing above 1e-6, or the budget of search restarts is spent.
+    candidate is kept in a pool and, whenever a round finds nothing above
+    1e-6, the pool weights are reallocated exactly by a small packing
+    program.  The loop ends when a round finds nothing while the pool is
+    still empty, when five reallocations in a row each fail to cut the
+    remainder's trace by 10 %, at the packing gap floor, or when the budget
+    of search restarts is spent.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
@@ -999,8 +1006,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             stall = 0
             continue
         if not len(pool):
-            stall += 1
-            continue
+            break
         before = float(np.trace(remainder).real)
         weights = _packing_weights(omega.matrix, pool, c0=weights)
         if len(pool) > pool_cap:

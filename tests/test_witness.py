@@ -235,6 +235,24 @@ def test_edge_decompose_falls_back_when_the_remix_fails():
     assert dec.removed == ()
 
 
+def test_edge_decompose_greedy_split_of_rank_deficient_state():
+    # Half a Schmidt-rank-2 state and half a product mixture: rank 5 in 3x3
+    # and certified entangled, so the remix is skipped and the greedy loop
+    # re-polishes its candidates against omega's thin support.  It sheds the
+    # product half, down to the packing gap.
+    dims = BipartiteDims(3, 3)
+    rng = rng_for(1, "witness/edgegreedy")
+    psi = random_sr_pure_state(rng, dims, 2)
+    products = random_sr_mixture(rng, dims, 1, 4)
+    omega = DensityMatrix(0.5 * psi.projector() + 0.5 * products.matrix, dims)
+    assert np.linalg.matrix_rank(omega.matrix) == 5 and sn_lower_bound(omega)[0] == 2
+    dec = edge_decompose(omega, k=2, budget=120, seed=0)
+    assert dec.rounds > 0 and dec.p <= 0.501
+    rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
+    assert trace_distance(rebuilt, omega.matrix) <= 1e-8
+    assert dec.removed and all(schmidt_rank(m) == 1 for _, m in dec.removed)
+
+
 def test_edge_decompose_pure_high_rank():
     rng = rng_for(9, "witness/edgepure")
     dims = BipartiteDims(3, 3)
