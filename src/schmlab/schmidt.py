@@ -560,19 +560,38 @@ def _overlap_descent(p: np.ndarray, phis: np.ndarray, dims: BipartiteDims,
     return out
 
 
+def _overlap_rows(p: np.ndarray, rows: np.ndarray, dims: BipartiteDims,
+                  r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize <phi|P|phi> over Schmidt rank <= r from each of a stack of rows.
+
+    Every unit row of the (n, dims.total) stack runs the Anderson-mixed
+    shift-and-invert descent of `_overlap_descent`.  The descent alone can
+    stop above the minimum, so every row is then finished by 80 sweeps of
+    the exact alternating minimization of `_seesaw_min_overlap`, started
+    from that row's B factor.  Returns each row's value and unit vector;
+    every row gives the same bits as a call on it alone, and an empty stack
+    gives empty results.
+    """
+    if not len(rows):
+        return np.zeros(0), rows
+    dA, dB = dims.dimA, dims.dimB
+    rows = _overlap_descent(p, rows, dims, r)
+    frames = _schmidt_factors(rows.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
+    return _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
+
+
 def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
                    seed: int = 0) -> tuple[float, PureState]:
     """epsilon = min <phi|P|phi> over pure phi with Schmidt rank <= r.
 
     Restart i starts from a random Schmidt-rank-r state drawn from its own
     stream ``rng_for(seed, f"min_overlap/{i}")``; all starts are drawn as
-    one batch by `random_sr_amplitudes`.  Every start then runs the
-    Anderson-mixed shift-and-invert descent of `_overlap_descent`, all as
-    rows of one array.  The descent alone can stop above the minimum, so
-    every row is then finished by the exact alternating minimization of
-    `_seesaw_min_overlap`, started from that row's B factor.  The first
+    one batch by `random_sr_amplitudes`.  All starts then descend together
+    as rows of one array through `_overlap_rows`: the Anderson-mixed
+    shift-and-invert descent, finished by the exact seesaw.  The first
     minimum over the finished rows wins.  The landscape is nonconvex; the
     result is the best local value found, reproducible for a fixed seed.
+    The subtraction search runs the same pipeline on kernel projectors.
     """
     p = linalg.hermitize(p)
     if p.shape[0] != dims.total:
@@ -583,12 +602,9 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
         vals, vecs = linalg.eigh(p)
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
-    dA, dB = dims.dimA, dims.dimB
     starts = random_sr_amplitudes(
         [rng_for(seed, f"min_overlap/{i}") for i in range(restarts)], dims, r)
-    phis = _overlap_descent(p, starts, dims, r)
-    frames = _schmidt_factors(phis.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
-    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
+    values, phis = _overlap_rows(p, starts, dims, r)
     best = int(np.argmin(values))  # first minimum: lowest restart index
     return float(values[best]), PureState(phis[best], dims)
 
@@ -701,65 +717,28 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
                                 kernel_tol=tol.rel_cutoff)
 
 
-def _project_to_support_sr(phis: np.ndarray, support: np.ndarray,
-                           dims: BipartiteDims, r: int, iters: int = 500,
-                           target: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating projection onto (support subspace) ∩ (Schmidt rank <= r).
-
-    Projects an (n, dims.total) stack of unit rows; returns the rows and
-    their kernel masses.  Each row stops on its own once its mass is below
-    `target` (mass 1.0 if orthogonal to the support) and gives the same bits
-    as projecting it alone.  Converges linearly when the intersection is
-    transversal.  When the support holds no rank-r states near the start the
-    iteration stalls at a positive residual; a row whose truncation step
-    moves it by less than 1e-12 has reached that fixed point and stops,
-    keeping the vector its mass was measured on.
-    """
-    phis = np.array(phis, dtype=np.complex128)
-    masses = np.full(len(phis), np.inf)
-    support_h = support.conj().T
-    active = np.arange(len(phis))
-    for _ in range(iters):
-        inside = (support @ (support_h @ phis[active, :, None]))[..., 0]
-        norms = np.linalg.norm(inside, axis=1)
-        empty = norms <= 1e-300
-        masses[active] = np.where(empty, 1.0, np.maximum(0.0, 1.0 - norms * norms))
-        going = ~empty & (masses[active] >= target)
-        active = active[going]
-        if not active.size:
-            break
-        a, bh = _schmidt_factors(inside[going].reshape(-1, dims.dimA, dims.dimB), r)
-        rows = (a @ bh).reshape(active.size, -1)
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        moving = np.linalg.norm(rows - phis[active], axis=1) >= 1e-12
-        active = active[moving]
-        phis[active] = rows[moving]
-    return phis, masses
-
-
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
                              dims: BipartiteDims, r: int, restarts: int, seed: int,
                              tol: RankTolerance) -> list[tuple[float, np.ndarray]]:
     """Distinct Schmidt rank <= r states with positive subtraction weight.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
-    inside the support of omega.  On a rank-deficient support the feasible
-    set is thin, so the starts (truncated support eigenvectors plus random
-    support vectors) are driven into it by plain alternating projection;
-    tilting that search collapses the start diversity into a single basin.
-    Two masked projections run over all starts: even starts and kernel-seesaw
-    rows of mass in (0, 1e-6] take up to 500 steps to 1e-13, then rows left
-    in (1e-14, rel_cutoff] take up to 2000 steps to 1e-14 and must end
-    <= 1e-13.  On a full support feasibility is free and an exact seesaw
-    descent of the normalized pseudo-inverse picks heavy candidates
-    instead.  Feasible points are deduplicated by overlap and ordered by
-    decreasing weight.
+    inside the support of omega.  The starts are truncated support
+    eigenvectors plus random support vectors.  On a rank-deficient support
+    the feasible set is thin: its points are the zeros of <phi|P_K|phi>,
+    with P_K the kernel projector, so every start runs the witness overlap
+    pipeline `_overlap_rows` on P_K, and rows that end at a kernel mass of
+    at most 1e-13 are feasible.  Candidates are later subtracted with their
+    full weight against a nearly-closed support gap, where leakage out of
+    the support is amplified quadratically, hence the hard floor.  On a
+    full support feasibility is free and an exact seesaw descent of the
+    normalized pseudo-inverse picks heavy candidates instead.  Feasible
+    points are deduplicated by overlap and ordered by decreasing weight.
     `spectral` is ``linalg.support_kernel(matrix, tol.rel_cutoff)``.
     """
     support, vals, kernel = spectral
     tr = float(np.trace(matrix).real)
     rank = support.shape[1]
-    full_support = kernel.shape[1] == 0
 
     n_warm = min(rank, max(2, restarts // 4))
     starts = [support[:, restart] for restart in range(n_warm)]
@@ -771,35 +750,19 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     truncated = a @ bh
     for m in truncated:
         m /= np.linalg.norm(m)
-    # The seesaw starts from the B factors of the normalized starts.
-    frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
     phis = truncated.reshape(len(starts), -1)
-    masses = np.zeros(len(starts))
-    limit = np.full(len(starts), tol.rel_cutoff)
-    if full_support:
+    if kernel.shape[1]:
+        masses, phis = _overlap_rows(kernel @ kernel.conj().T, phis, dims, r)
+        phis = phis[masses <= 1e-13]
+    else:
         pinv = (support / vals) @ support.conj().T * tr
         pinv = (pinv + pinv.conj().T) / 2 * (float(vals[-1]) / tr)
         pinv4 = pinv.reshape(dims.dimA, dims.dimB, dims.dimA, dims.dimB)
+        # The seesaw starts from the B factors of the normalized starts.
+        frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
         phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
-    else:
-        # Odd restarts take a second engine: exact seesaw on the kernel
-        # projector reaches basins the plain alternating projection misses.
-        kernel4 = (kernel @ kernel.conj().T).reshape(
-            dims.dimA, dims.dimB, dims.dimA, dims.dimB
-        )
-        masses[1::2], phis[1::2] = _seesaw_min_overlap(kernel4, dims, r, frames[1::2], 150)
-        # Even restarts and nearly-feasible seesaw rows are projected.
-        first = (np.arange(len(starts)) % 2 == 0) | ((masses > 0) & (masses <= 1e-6))
-        phis[first], masses[first] = _project_to_support_sr(phis[first], support, dims, r)
-        # Candidates are later subtracted with their full weight against a
-        # nearly-closed support gap, where leakage out of the support is
-        # amplified quadratically; polish it down hard.
-        polish = (masses > 1e-14) & (masses <= tol.rel_cutoff)
-        phis[polish], masses[polish] = _project_to_support_sr(
-            phis[polish], support, dims, r, iters=2000, target=1e-14)
-        limit[polish] = 1e-13
     results = []
-    for phi in phis[masses <= limit]:
+    for phi in phis:
         sigma = np.outer(phi, phi.conj())
         lam = _max_subtraction_raw(matrix / tr, support, vals / tr, sigma,
                                    kernel_tol=tol.rel_cutoff)
@@ -815,8 +778,7 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     return found
 
 
-def _packing_weights(matrix: np.ndarray, pool: np.ndarray,
-                     c0: Optional[np.ndarray] = None) -> np.ndarray:
+def _packing_weights(matrix: np.ndarray, pool: np.ndarray, c0: np.ndarray) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
     Log-barrier Newton restricted to the support of omega.  Greedy weight
@@ -832,8 +794,7 @@ def _packing_weights(matrix: np.ndarray, pool: np.ndarray,
     omega_s = support.conj().T @ matrix @ support
     omega_s = (omega_s + omega_s.conj().T) / 2
     members = np.stack([support.conj().T @ phi for phi in pool], axis=1)
-    m = members.shape[1]
-    c = np.full(m, 1e-8) if c0 is None else np.maximum(c0, 1e-8) * 0.9
+    c = np.maximum(c0, 1e-8) * 0.9
     for _ in range(60):  # pull the start strictly inside the cone
         gap = omega_s - (members * c) @ members.conj().T
         if np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0] > 1e-14:
@@ -921,11 +882,14 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     When the remix is skipped or fails, greedy subtraction splits the state
     with the full budget: each round searches the remainder for
     subtractable Schmidt rank <= k-1 pure states and removes half of the
-    best candidate's maximal weight.  Because greedy weight choices along
-    overlapping candidates strand removable mass, every discovered
-    candidate is kept in a pool and, whenever a round finds nothing above
-    1e-6, the pool weights are reallocated exactly by a small packing
-    program.  The loop ends when a round finds nothing while the pool is
+    best candidate's maximal weight.  On a rank-deficient omega the round's
+    candidates are first re-polished against omega's own support by the
+    overlap pipeline `_overlap_rows` on omega's kernel projector, and only
+    those ending at a kernel mass of at most 1e-13 are kept.  Because
+    greedy weight choices along overlapping candidates strand removable
+    mass, every discovered candidate is kept in a pool and, whenever a
+    round finds nothing above 1e-6, the pool weights are reallocated
+    exactly by a small packing program.  The loop ends when a round finds nothing while the pool is
     still empty, when five reallocations in a row each fail to cut the
     remainder's trace by 10 %, at the packing gap floor, or when the budget
     of search restarts is spent.
@@ -937,7 +901,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         return EdgeDecomposition(p=0.0, within=omega, edge=None,
                                  removed=omega.ensemble, rounds=0)
 
-    omega_support, _, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    omega_support, _, omega_kernel = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
     if omega_support.shape[1] == 1 and schmidt_rank(
             PureState.normalized(omega_support[:, 0], omega.dims), tol) > r:
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
@@ -977,14 +941,14 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         spent += restarts_per_round
         support, vals, _ = spectral
         phis = np.reshape([phi for _, phi in candidates], (-1, omega.dims.total))
-        if omega_support.shape[1] < omega.dims.total:
+        if omega_kernel.shape[1]:
             # Re-polish the candidates against the input state's own support.
             # Late-round remainders are small, so their relative rank cutoff
             # can admit directions that are absolutely negligible in omega; a
             # pool member leaking into those directions would poison the
             # packing remainder once subtracted with full weight.
-            phis, masses = _project_to_support_sr(phis, omega_support, omega.dims, r,
-                                                  iters=2000, target=1e-14)
+            masses, phis = _overlap_rows(omega_kernel @ omega_kernel.conj().T, phis,
+                                         omega.dims, r)
             phis = phis[masses <= 1e-13]
         best_lam, best_index = 0.0, -1  # the first candidate of largest weight
         for phi in phis:

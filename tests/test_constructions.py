@@ -108,6 +108,16 @@ def test_erosion_trend():
         assert row["max_subtraction"] >= row["member_best"] - 1e-12
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_erosion_sweep_optimizer_reaches_the_members(seed):
+    # The generating members are subtractable product states, so the
+    # optimized weight must reach the best of them on every grid; at grid 8
+    # a search that misses them stops at 0.124375 < 0.125.
+    rows = rotation_erosion_sweep(3, [4, 8, 16, 32], samples=50, seed=seed)
+    for row in rows:
+        assert row["optimized"] >= row["member_best"] - 1e-12
+
+
 def test_sn_k_state_single_point_is_seed():
     left = orthogonal_fourier_family(2, 2, seed=0)
     right = orthogonal_fourier_family(2, 2, seed=1)

@@ -235,13 +235,15 @@ def test_edge_decompose_falls_back_when_the_remix_fails():
     assert dec.removed == ()
 
 
-def test_edge_decompose_greedy_split_of_rank_deficient_state():
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     # Half a Schmidt-rank-2 state and half a product mixture: rank 5 in 3x3
     # and certified entangled, so the remix is skipped and the greedy loop
     # re-polishes its candidates against omega's thin support.  It sheds the
-    # product half, down to the packing gap.
+    # product half, down to the packing gap, on every seed: the subtraction
+    # search must find the product members on a thin support.
     dims = BipartiteDims(3, 3)
-    rng = rng_for(1, "witness/edgegreedy")
+    rng = rng_for(seed, "witness/edgegreedy")
     psi = random_sr_pure_state(rng, dims, 2)
     products = random_sr_mixture(rng, dims, 1, 4)
     omega = DensityMatrix(0.5 * psi.projector() + 0.5 * products.matrix, dims)
