@@ -265,12 +265,10 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
         )
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
-        support, vals, _ = linalg.support_kernel(state.matrix, tol.rel_cutoff)
-        member_best = max(
-            schmidt._max_subtraction_raw(state.matrix, support, vals, psi.projector(),
-                                         kernel_tol=tol.rel_cutoff)
-            for _, psi in state.ensemble
-        )
+        members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
+        member_best = schmidt._subtraction_weights(
+            state.matrix, linalg.support_kernel(state.matrix, tol.rel_cutoff), members,
+            tol.rel_cutoff).max()
         rows.append({
             "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),

@@ -127,12 +127,13 @@ def ensemble_max_sr(members: Sequence[tuple[float, PureState]],
     return max(schmidt_rank(psi, tol) for _, psi in members)
 
 
-def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Optional[Ensemble]:
-    """Members of `cols` truncated to Schmidt rank `target`, if they rebuild omega.
+def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray,
+                    target: int) -> Optional[DensityMatrix]:
+    """omega with the members of `cols`, truncated to Schmidt rank `target`, attached.
 
-    The truncated members have rank at most `target` exactly; the ensemble
-    is returned only if it reconstructs omega within the trace distance
-    every attached ensemble must meet, else None.
+    The truncated members have rank at most `target` exactly; omega with
+    them attached is returned only if they reconstruct omega within the
+    trace distance every attached ensemble must meet, else None.
     """
     dims = omega.dims
     a, bh = _schmidt_factors(cols.T.reshape(-1, dims.dimA, dims.dimB), target)
@@ -143,7 +144,7 @@ def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray, target: int) -> Opti
     ensemble = [(w / total, PureState.normalized(m, dims))
                 for w, m in zip(weights[keep], members[keep])]
     try:
-        return omega.with_ensemble(ensemble).ensemble
+        return omega.with_ensemble(ensemble)
     except ValidationError:  # the rebuild misses omega by more than 1e-8
         return None
 
@@ -313,15 +314,15 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     return [polished[trial] for trial in trials]
 
 
-def _remix_factor(omega: DensityMatrix) -> np.ndarray:
-    """M with M M† = omega, from the eigenvectors of nonzero eigenvalues."""
-    vals, vecs = linalg.eigh(omega.matrix)
+def _eigen_factor(rho: DensityMatrix) -> np.ndarray:
+    """M with M M† = rho, from the eigenvectors of nonzero eigenvalues."""
+    vals, vecs = linalg.eigh(rho.matrix)
     rank = max(1, int(np.count_nonzero(vals > 1e-12)))
     return vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
 
 
 def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: int,
-                  share: int) -> tuple[Optional[Ensemble], int]:
+                  share: int) -> tuple[Optional[DensityMatrix], int]:
     """Remix trials at one target rank until one is exact or `share` is spent.
 
     Trials start at 0 and polish together in index-ordered chunks of 1, 2,
@@ -332,8 +333,8 @@ def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: i
     renormalized, rebuild omega within trace distance 1e-8; the first
     accepted trial wins, so its members have Schmidt rank <= target exactly
     and a fixed seed always gives the same result.  `factor` is
-    ``_remix_factor(omega)``.  Returns the accepted ensemble, or None, and
-    the row-iterations charged.
+    ``_eigen_factor(omega)``.  Returns omega with the accepted ensemble
+    attached, or None, and the row-iterations charged.
     """
     used, trial, chunk = 0, 0, 1
     while used < share:
@@ -342,9 +343,9 @@ def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: i
         rows = _remix_polish(factor, omega.dims, target, seed, trials,
                              min(REMIX_CAP, share - used))
         for cols, status, iters in rows:
-            ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
-            if ensemble is not None:
-                return ensemble, used
+            exact = _exact_ensemble(omega, cols, target) if status == "converged" else None
+            if exact is not None:
+                return exact, used
             used += iters
             if used >= share:
                 break
@@ -383,14 +384,14 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     if best_k <= max(1, floor) or budget <= 0:
         return best_k, best_ens
 
-    factor = _remix_factor(omega)
+    factor = _eigen_factor(omega)
     targets = range(max(1, floor), best_k)
     left = budget * 60
     for target in targets:
-        ensemble, used = _remix_search(omega, factor, target, seed,
-                                       left // (targets.stop - target))
-        if ensemble is not None:
-            return target, ensemble
+        exact, used = _remix_search(omega, factor, target, seed,
+                                    left // (targets.stop - target))
+        if exact is not None:
+            return target, exact.ensemble
         left -= used
     return best_k, best_ens
 
@@ -679,27 +680,32 @@ def witness_from_lambda(omega: DensityMatrix) -> Optional[WitnessOperator]:
 # Subtraction and the edge decomposition
 # ---------------------------------------------------------------------------
 
-def _max_subtraction_raw(matrix: np.ndarray, support, vals, sigma: np.ndarray,
-                         kernel_tol: float) -> float:
-    sigma_tr = float(np.trace(sigma).real)
-    inside = support.conj().T @ sigma @ support
-    kernel_mass = sigma_tr - float(np.trace(inside).real)
-    if kernel_mass > kernel_tol * max(sigma_tr, 1e-30):
-        return 0.0
-    scaled = inside / np.sqrt(vals)[:, None] / np.sqrt(vals)[None, :]
-    top = float(np.linalg.eigvalsh((scaled + scaled.conj().T) / 2)[-1])
-    if top <= 1e-300:
-        return 0.0
-    lam = 1.0 / top
-    # Small kernel leakage can push omega - lam*sigma slightly below the
-    # PSD floor; shave lam until the exact check passes.
-    for _ in range(60):
-        if linalg.min_eigenvalue(matrix - lam * sigma) >= -CERT_MARGIN:
-            break
-        lam *= 0.995
-    else:
-        return 0.0
-    return lam
+def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
+                         factors: np.ndarray, kernel_tol: float) -> np.ndarray:
+    """Largest lam >= 0 with ``matrix - lam F F†`` PSD, for each F of a stack.
+
+    `factors` is an (n, total, m) stack and `spectral` is
+    ``(support, values, kernel)`` of `matrix`.  A factor whose mass outside
+    the support exceeds `kernel_tol` of its total gets 0.  Otherwise lam is
+    1 / lambda_max(F† matrix^+ F), which for a unit vector phi is
+    1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261 (1998)); one
+    batched `eigvalsh` serves the whole stack.  Each positive lam is then
+    checked against the exact eigenvalue floor, and one whose remainder has
+    an eigenvalue below -CERT_MARGIN gets 0.
+    """
+    support, vals, _ = spectral
+    inside = support.conj().T @ factors
+    mass = np.sum(np.abs(factors) ** 2, axis=(1, 2))
+    leak = mass - np.sum(np.abs(inside) ** 2, axis=(1, 2))
+    inside[leak > kernel_tol * np.maximum(mass, 1e-30)] = 0.0
+    scaled = inside / np.sqrt(vals)[:, None]
+    top = np.linalg.eigvalsh(scaled.conj().transpose(0, 2, 1) @ scaled)[:, -1]
+    weights = np.divide(1.0, top, out=np.zeros_like(top), where=top > 1e-300)
+    for i in np.flatnonzero(weights):
+        f = factors[i]
+        if linalg.min_eigenvalue(matrix - weights[i] * (f @ f.conj().T)) < -CERT_MARGIN:
+            weights[i] = 0.0
+    return weights
 
 
 def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
@@ -708,13 +714,14 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
 
     Zero when sigma leaks outside the support of omega (checked at the rank
     tolerance); otherwise 1 / ||(omega^+)^(1/2) sigma (omega^+)^(1/2)||,
-    verified against the exact eigenvalue floor.
+    verified against the exact eigenvalue floor.  `_subtraction_weights`
+    computes it from sigma's eigen-factor.
     """
     if omega.dims != sigma.dims:
         raise ValidationError("omega and sigma must share dims")
-    support, vals, _ = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
-    return _max_subtraction_raw(omega.matrix, support, vals, sigma.matrix,
-                                kernel_tol=tol.rel_cutoff)
+    spectral = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    return float(_subtraction_weights(omega.matrix, spectral, _eigen_factor(sigma)[None],
+                                      tol.rel_cutoff)[0])
 
 
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
@@ -723,18 +730,22 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     """Distinct Schmidt rank <= r states with positive subtraction weight.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
-    inside the support of omega.  The starts are truncated support
-    eigenvectors plus random support vectors.  On a rank-deficient support
-    the feasible set is thin: its points are the zeros of <phi|P_K|phi>,
-    with P_K the kernel projector, so every start runs the witness overlap
-    pipeline `_overlap_rows` on P_K, and rows that end at a kernel mass of
-    at most 1e-13 are feasible.  Candidates are later subtracted with their
-    full weight against a nearly-closed support gap, where leakage out of
-    the support is amplified quadratically, hence the hard floor.  On a
-    full support feasibility is free and an exact seesaw descent of the
-    normalized pseudo-inverse picks heavy candidates instead.  Feasible
-    points are deduplicated by overlap and ordered by decreasing weight.
-    `spectral` is ``linalg.support_kernel(matrix, tol.rel_cutoff)``.
+    inside the support of omega.  `spectral` is ``(support, values,
+    kernel)``: ``linalg.support_kernel(matrix, tol.rel_cutoff)``, or in the
+    edge loop the round's split inside omega's support, whose kernel also
+    holds omega's.  The starts are truncated support eigenvectors plus
+    random support vectors.  On a rank-deficient support the feasible set
+    is thin: its points are the zeros of <phi|P_K|phi>, with P_K the kernel
+    projector, so every start runs the witness overlap pipeline
+    `_overlap_rows` on P_K, and rows that end at a kernel mass of at most
+    1e-13 are feasible.  Candidates are later subtracted with their full
+    weight against a nearly-closed support gap, where leakage out of the
+    support is amplified quadratically, hence the hard floor.  On a full
+    support feasibility is free and an exact seesaw descent of the
+    normalized pseudo-inverse picks heavy candidates instead.  Every row is
+    weighed by one `_subtraction_weights` call against ``matrix / tr``;
+    feasible points are deduplicated by overlap and ordered by decreasing
+    weight.
     """
     support, vals, kernel = spectral
     tr = float(np.trace(matrix).real)
@@ -748,8 +759,7 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
         starts.append(support @ g)
     a, bh = _schmidt_factors(np.reshape(starts, (-1, dims.dimA, dims.dimB)), r)
     truncated = a @ bh
-    for m in truncated:
-        m /= np.linalg.norm(m)
+    truncated /= np.linalg.norm(truncated, axis=(1, 2), keepdims=True)
     phis = truncated.reshape(len(starts), -1)
     if kernel.shape[1]:
         masses, phis = _overlap_rows(kernel @ kernel.conj().T, phis, dims, r)
@@ -761,39 +771,37 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
         # The seesaw starts from the B factors of the normalized starts.
         frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
         phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
-    results = []
-    for phi in phis:
-        sigma = np.outer(phi, phi.conj())
-        lam = _max_subtraction_raw(matrix / tr, support, vals / tr, sigma,
-                                   kernel_tol=tol.rel_cutoff)
-        if lam > 0.0:
-            results.append((lam, phi))
+    weights = _subtraction_weights(matrix / tr, (support, vals / tr, kernel),
+                                   phis[:, :, None], tol.rel_cutoff)
 
     # A stable sort: equal weights keep restart order.
     found: list[tuple[float, np.ndarray]] = []
-    for lam, phi in sorted(results, key=lambda item: -item[0]):
-        if any(abs(np.vdot(phi, other)) > 0.999 for _, other in found):
+    for i in np.argsort(-weights, kind="stable"):
+        if weights[i] <= 0.0:
+            break
+        if any(abs(np.vdot(phis[i], other)) > 0.999 for _, other in found):
             continue
-        found.append((lam, phi))
+        found.append((float(weights[i]), phis[i]))
     return found
 
 
-def _packing_weights(matrix: np.ndarray, pool: np.ndarray, c0: np.ndarray) -> np.ndarray:
+def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
+                     c0: np.ndarray) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
-    Log-barrier Newton restricted to the support of omega.  Greedy weight
-    assignment along overlapping candidates strands removable mass; this
-    small packing program reallocates the collected pool exactly.  The
-    barrier stops at a spectral gap of about 1e-5 * rank: candidates
-    leak out of the support at the 1e-13 level, and pushing the gap lower
-    would amplify that leakage into remainder negativity beyond the PSD
-    floor (the leftover gap only pads the reported mixing weight upward,
-    which stays an upper bound).
+    Log-barrier Newton restricted to the support of omega, whose basis is
+    the columns of `support`.  Greedy weight assignment along overlapping
+    candidates strands removable mass; this small packing program
+    reallocates the collected pool exactly.  The barrier stops at a
+    spectral gap of about 1e-5 * rank: candidates leak out of the support
+    at the 1e-13 level, and pushing the gap lower would amplify that
+    leakage into remainder negativity beyond the PSD floor (the leftover
+    gap only pads the reported mixing weight upward, which stays an upper
+    bound).
     """
-    support, vals, _ = linalg.support_kernel(matrix, 1e-10)
     omega_s = support.conj().T @ matrix @ support
     omega_s = (omega_s + omega_s.conj().T) / 2
-    members = np.stack([support.conj().T @ phi for phi in pool], axis=1)
+    members = support.conj().T @ pool.T
     c = np.maximum(c0, 1e-8) * 0.9
     for _ in range(60):  # pull the start strictly inside the cone
         gap = omega_s - (members * c) @ members.conj().T
@@ -882,17 +890,21 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     When the remix is skipped or fails, greedy subtraction splits the state
     with the full budget: each round searches the remainder for
     subtractable Schmidt rank <= k-1 pure states and removes half of the
-    best candidate's maximal weight.  On a rank-deficient omega the round's
-    candidates are first re-polished against omega's own support by the
-    overlap pipeline `_overlap_rows` on omega's kernel projector, and only
-    those ending at a kernel mass of at most 1e-13 are kept.  Because
-    greedy weight choices along overlapping candidates strand removable
-    mass, every discovered candidate is kept in a pool and, whenever a
-    round finds nothing above 1e-6, the pool weights are reallocated
-    exactly by a small packing program.  The loop ends when a round finds nothing while the pool is
-    still empty, when five reallocations in a row each fail to cut the
-    remainder's trace by 10 %, at the packing gap floor, or when the budget
-    of search restarts is spent.
+    best candidate's maximal weight.  omega's support S is split off once
+    per call; each round splits the remainder inside it, from the
+    eigendecomposition of ``S† R S``, so the round's kernel holds omega's
+    and every candidate lies inside omega's support.  Late-round
+    remainders are small, so a relative rank cutoff on the remainder alone
+    could admit directions that are absolutely negligible in omega, and a
+    pool member leaking into them would poison the packing remainder once
+    subtracted with full weight.  Candidates arrive weighed and sorted, and
+    the round admits them all to a pool: because greedy weight choices
+    along overlapping candidates strand removable mass, whenever a round
+    finds nothing above 1e-6 the pool weights are reallocated exactly by a
+    small packing program on omega's support.  The loop ends when a round
+    finds nothing while the pool is still empty, when five reallocations in
+    a row each fail to cut the remainder's trace by 10 %, at the packing
+    gap floor, or when the budget of search restarts is spent.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
@@ -907,10 +919,10 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
 
     if sn_lower_bound(omega)[0] <= r:
-        ensemble, _ = _remix_search(omega, _remix_factor(omega), r, seed, budget * 60)
-        if ensemble is not None:
-            return EdgeDecomposition(p=0.0, within=omega.with_ensemble(ensemble), edge=None,
-                                     removed=ensemble, rounds=0)
+        exact, _ = _remix_search(omega, _eigen_factor(omega), r, seed, budget * 60)
+        if exact is not None:
+            return EdgeDecomposition(p=0.0, within=exact, edge=None,
+                                     removed=exact.ensemble, rounds=0)
 
     pool = np.zeros((0, omega.dims.total), dtype=np.complex128)
     weights = np.zeros(0)
@@ -918,10 +930,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     remainder = omega.matrix.copy()
 
     def recompute_remainder():
-        out = omega.matrix.copy()
-        for c, phi in zip(weights, pool):
-            out -= c * np.outer(phi, phi.conj())
-        return out
+        return omega.matrix - (pool.T * weights) @ pool.conj()
 
     restarts_per_round = 12
     max_stall = 5
@@ -933,37 +942,23 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         if trace_left < 1e-9:
             break
         rounds += 1
-        spectral = linalg.support_kernel(remainder, tol.rel_cutoff)
+        inner, vals, rest = linalg.support_kernel(
+            omega_support.conj().T @ remainder @ omega_support, tol.rel_cutoff)
+        spectral = (omega_support @ inner, vals,
+                    np.hstack([omega_kernel, omega_support @ rest]))
         candidates = _subtractable_candidates(
             remainder, spectral, omega.dims, r, restarts_per_round,
             derive_seed(seed, f"edge/round/{rounds}"), tol,
         )
         spent += restarts_per_round
-        support, vals, _ = spectral
-        phis = np.reshape([phi for _, phi in candidates], (-1, omega.dims.total))
-        if omega_kernel.shape[1]:
-            # Re-polish the candidates against the input state's own support.
-            # Late-round remainders are small, so their relative rank cutoff
-            # can admit directions that are absolutely negligible in omega; a
-            # pool member leaking into those directions would poison the
-            # packing remainder once subtracted with full weight.
-            masses, phis = _overlap_rows(omega_kernel @ omega_kernel.conj().T, phis,
-                                         omega.dims, r)
-            phis = phis[masses <= 1e-13]
-        best_lam, best_index = 0.0, -1  # the first candidate of largest weight
-        for phi in phis:
+        best_lam, best_index = 0.0, -1  # the heaviest candidate comes first
+        for lam, phi in candidates:
             matches = np.flatnonzero(np.abs(pool.conj() @ phi) > 0.999)
             index = int(matches[0]) if matches.size else len(pool)
             if index == len(pool):
                 pool, weights = np.vstack([pool, phi]), np.append(weights, 0.0)
-            # Admission re-polished the vector, so its weight against the
-            # current remainder must be recomputed before subtracting.
-            lam_rel = _max_subtraction_raw(
-                remainder / trace_left, support, vals / trace_left,
-                np.outer(phi, phi.conj()), kernel_tol=tol.rel_cutoff,
-            )
-            if lam_rel > best_lam:
-                best_lam, best_index = lam_rel, index
+            if best_index < 0:
+                best_lam, best_index = lam, index
         if best_lam * trace_left > 1e-6:
             weights[best_index] += 0.5 * best_lam * trace_left
             remainder = recompute_remainder()
@@ -972,7 +967,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         if not len(pool):
             break
         before = float(np.trace(remainder).real)
-        weights = _packing_weights(omega.matrix, pool, c0=weights)
+        weights = _packing_weights(omega.matrix, omega_support, pool, c0=weights)
         if len(pool) > pool_cap:
             order = np.argsort(weights)[::-1]
             keep = np.sort(order[:pool_cap])
@@ -985,7 +980,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         stall = 0 if after < 0.9 * before else stall + 1
 
     if len(pool):
-        weights = _packing_weights(omega.matrix, pool, c0=weights)
+        weights = _packing_weights(omega.matrix, omega_support, pool, c0=weights)
         remainder = recompute_remainder()
 
     removed = [(float(c), PureState(phi, omega.dims))

@@ -284,9 +284,9 @@ def sequential_remix(omega, budget, seed, floor):
                 chunk_end, chunk = chunk_end + chunk, min(2 * chunk, 64)
             cols, status, iters = polish_one_trial(factor, dims, target, seed, trial, cap)
             read += 1
-            ensemble = _exact_ensemble(omega, cols, target) if status == "converged" else None
-            if ensemble is not None:
-                return target, ensemble, [(trial, target)], read
+            exact = _exact_ensemble(omega, cols, target) if status == "converged" else None
+            if exact is not None:
+                return target, exact.ensemble, [(trial, target)], read
             used += iters
             trial += 1
         left -= used

@@ -5,7 +5,7 @@ import pytest
 
 from schmlab import schmidt
 from schmlab.errors import ValidationError, WitnessDegenerateError
-from schmlab.linalg import BipartiteDims, trace_distance
+from schmlab.linalg import BipartiteDims, min_eigenvalue, support_kernel, trace_distance
 from schmlab.sampling import (
     random_density_matrix,
     random_sr_mixture,
@@ -177,6 +177,66 @@ def test_max_subtraction_keeps_psd():
         assert float(np.linalg.eigvalsh(omega.matrix - lam * sigma.matrix)[0]) >= -1e-9
 
 
+def weights_setup():
+    """A rank-5 3x3 state, its split, omega^+ and five unit rows in its support."""
+    omega = random_density_matrix(rng_for(0, "witness/weights"), BipartiteDims(3, 3), rank=5)
+    spectral = support_kernel(omega.matrix, 1e-8)
+    rng = rng_for(1, "witness/weights")
+    rows = spectral[0] @ (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    rows = (rows / np.linalg.norm(rows, axis=0)).T
+    pinv = np.linalg.pinv(omega.matrix, rcond=1e-8, hermitian=True)
+    return omega, spectral, pinv, rows
+
+
+def test_subtraction_weights_in_support_rows():
+    # A unit row inside the support weighs 1/<phi|omega^+|phi>.
+    omega, spectral, pinv, rows = weights_setup()
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, rows[:, :, None], 1e-8)
+    expected = 1.0 / np.einsum("ij,jk,ik->i", rows.conj(), pinv, rows).real
+    assert np.all(weights > 0)
+    assert np.allclose(weights, expected, rtol=1e-12, atol=0)
+
+
+def test_subtraction_weights_leaking_row_is_zero():
+    omega, spectral, _, rows = weights_setup()
+    leaky = rows[0] + 1e-3 * spectral[2][:, 0]
+    leaky /= np.linalg.norm(leaky)
+    weights = schmidt._subtraction_weights(
+        omega.matrix, spectral, np.stack([rows[0], leaky])[:, :, None], 1e-8)
+    assert weights[0] > 0 and weights[1] == 0.0
+
+
+def test_subtraction_weights_failed_floor_is_zero_not_shaved():
+    # A kernel leak of 1e-11 passes the rank-tolerance leak check, but the
+    # full weight leaves a remainder below the exact floor.  Shaving the
+    # weight by half a percent would pass the floor; the kernel refuses the
+    # row instead.
+    omega, spectral, pinv, rows = weights_setup()
+    eps = 1e-11
+    phi = np.sqrt(1 - eps) * rows[0] + np.sqrt(eps) * spectral[2][:, 0]
+    full = 1.0 / np.vdot(phi, pinv @ phi).real
+    sigma = np.outer(phi, phi.conj())
+    assert min_eigenvalue(omega.matrix - full * sigma) < -schmidt.CERT_MARGIN
+    assert min_eigenvalue(omega.matrix - 0.995 * full * sigma) >= -schmidt.CERT_MARGIN
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, phi[None, :, None], 1e-8)
+    assert weights[0] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_subtraction_weights_stack_matches_one_row_calls(m):
+    omega, spectral, _, rows = weights_setup()
+    leaky = rows[0] + 1e-3 * spectral[2][:, 0]
+    stack = np.concatenate([rows, leaky[None] / np.linalg.norm(leaky)])
+    # Factor i holds rows i and i-1, so the leaky last row spoils one factor
+    # at m = 1 and two at m = 2.
+    factors = np.stack([stack, np.roll(stack, 1, axis=0)], axis=2)[:, :, :m] / np.sqrt(m)
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, factors, 1e-8)
+    assert weights[-1] == 0.0 and np.count_nonzero(weights) == len(stack) - m
+    for i, factor in enumerate(factors):
+        one = schmidt._subtraction_weights(omega.matrix, spectral, factor[None], 1e-8)
+        assert np.array_equal(one, weights[i:i + 1])
+
+
 def test_max_subtractable_finds_members():
     # On a product mixture the best product subtraction is at least the
     # best generating member's weight.
@@ -239,9 +299,9 @@ def test_edge_decompose_falls_back_when_the_remix_fails():
 def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     # Half a Schmidt-rank-2 state and half a product mixture: rank 5 in 3x3
     # and certified entangled, so the remix is skipped and the greedy loop
-    # re-polishes its candidates against omega's thin support.  It sheds the
-    # product half, down to the packing gap, on every seed: the subtraction
-    # search must find the product members on a thin support.
+    # searches inside omega's thin support.  It sheds the product half, down
+    # to the packing gap, on every seed: the subtraction search must find
+    # the product members on a thin support, and none may leak out of it.
     dims = BipartiteDims(3, 3)
     rng = rng_for(seed, "witness/edgegreedy")
     psi = random_sr_pure_state(rng, dims, 2)
@@ -253,6 +313,9 @@ def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
     assert trace_distance(rebuilt, omega.matrix) <= 1e-8
     assert dec.removed and all(schmidt_rank(m) == 1 for _, m in dec.removed)
+    kernel = support_kernel(omega.matrix, 1e-8)[2]
+    for _, m in dec.removed:
+        assert np.linalg.norm(kernel.conj().T @ m.amplitudes) ** 2 <= 1e-12
 
 
 def test_edge_decompose_pure_high_rank():
