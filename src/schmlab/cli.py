@@ -34,19 +34,25 @@ SEED_LIMIT = 2 ** 63
 MAX_SWEEP_STEPS = 10_000
 
 
-def _tolerances(args) -> tuple[RankTolerance, dict]:
-    tol = RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
-    snapshot = {
-        "rank_rel_cutoff": tol.rel_cutoff,
-        "psd_floor": PSD_FLOOR,
-        "certification_margin": schmidt.CERT_MARGIN,
-    }
-    return tol, snapshot
+def _tolerance(args) -> RankTolerance:
+    return RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
 
 
-def _emit(report: dict, json_path: str | None):
-    if json_path:
-        io.write_file(json_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+def _emit(report: dict, args, tol: RankTolerance, start: float):
+    """Add the fields every report shares and write it to ``--json``, if given."""
+    report.update(
+        seed=args.seed,
+        effort=args.effort,
+        tolerances={
+            "rank_rel_cutoff": tol.rel_cutoff,
+            "psd_floor": PSD_FLOOR,
+            "certification_margin": schmidt.CERT_MARGIN,
+        },
+        version=__version__,
+        timing_ms=1000.0 * (time.perf_counter() - start),
+    )
+    if args.json_path:
+        io.write_file(args.json_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
 
 def _builder_provenance(args, recipe: str) -> dict:
@@ -102,7 +108,7 @@ def _add_common_flags(parser):
 
 
 def cmd_analyze_state(args) -> int:
-    tol, snapshot = _tolerances(args)
+    tol = _tolerance(args)
     start = time.perf_counter()
     if args.input:
         state = io.load_state(args.input)
@@ -116,16 +122,7 @@ def cmd_analyze_state(args) -> int:
         state = DensityMatrix.from_pure(state)
     cert = schmidt.certify(state, budget=EFFORT_BUDGETS[args.effort],
                            seed=args.seed, tol=tol)
-    elapsed = 1000.0 * (time.perf_counter() - start)
-    report = {
-        "input": descriptor,
-        "seed": args.seed,
-        "effort": args.effort,
-        "tolerances": snapshot,
-        "certificate": io.certificate_to_dict(cert),
-        "version": __version__,
-        "timing_ms": elapsed,
-    }
+    report = {"input": descriptor, "certificate": io.certificate_to_dict(cert)}
     print(f"Schmidt number certificate: lower={cert.lower} upper={cert.upper}"
           f"{'' if cert.consistent else '  [INCONSISTENT]'}")
     if cert.lower_evidence is not None:
@@ -133,23 +130,19 @@ def cmd_analyze_state(args) -> int:
               f"eigenvalue={cert.lower_evidence.eigenvalue:.6g}")
     print(f"  decomposition: {len(cert.upper_evidence)} members, "
           f"max Schmidt rank {cert.upper}")
-    _emit(report, args.json_path)
+    _emit(report, args, tol, start)
     return EXIT_OK
 
 
 def cmd_analyze_channel(args) -> int:
-    tol, snapshot = _tolerances(args)
+    tol = _tolerance(args)
     start = time.perf_counter()
     channel = io.load_channel(args.input)
     cert = certify_peb(channel, budget=EFFORT_BUDGETS[args.effort],
                        seed=args.seed, tol=tol)
     profile = kraus_rank_profile(channel, tol)
-    elapsed = 1000.0 * (time.perf_counter() - start)
     report = {
         "input": {"path": args.input},
-        "seed": args.seed,
-        "effort": args.effort,
-        "tolerances": snapshot,
         "certificate": {
             "kind": "peb",
             "k_peb_upper": cert.k_peb_upper,
@@ -161,8 +154,6 @@ def cmd_analyze_channel(args) -> int:
             "canonical_ranks": list(profile.canonical_ranks),
             "min_canonical_rank": profile.min_canonical_rank,
         },
-        "version": __version__,
-        "timing_ms": elapsed,
     }
     label = "entanglement breaking" if cert.k_peb_upper == 1 else \
         f"{cert.k_peb_upper}-PEB"
@@ -171,7 +162,7 @@ def cmd_analyze_channel(args) -> int:
     print(f"  k_peb bounds: ({cert.k_peb_lower}, {cert.k_peb_upper})")
     print(f"  Kraus ranks: {list(profile.ranks)} "
           f"(canonical min {profile.min_canonical_rank})")
-    _emit(report, args.json_path)
+    _emit(report, args, tol, start)
     return EXIT_OK
 
 
@@ -194,7 +185,7 @@ def _parse_grid_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    tol, snapshot = _tolerances(args)
+    tol = _tolerance(args)
     start = time.perf_counter()
     if args.recipe == "rotation":
         grids = _parse_grid_list(args.grids)
@@ -224,19 +215,9 @@ def cmd_sweep(args) -> int:
             f += args.f_step
     else:
         raise ValidationError(f"unknown sweep recipe {args.recipe!r}")
-    elapsed = 1000.0 * (time.perf_counter() - start)
-    report = {
-        "sweep": args.recipe,
-        "seed": args.seed,
-        "effort": args.effort,
-        "tolerances": snapshot,
-        "rows": rows,
-        "version": __version__,
-        "timing_ms": elapsed,
-    }
     for row in rows:
         print(json.dumps(row, sort_keys=True))
-    _emit(report, args.json_path)
+    _emit({"sweep": args.recipe, "rows": rows}, args, tol, start)
     return EXIT_OK
 
 

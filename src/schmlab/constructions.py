@@ -259,16 +259,18 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
     # The list validates every grid before the first state is built.
     for grid in [RotationGrid(points=n_points) for n_points in grids]:
         state = build_rotation_state(phi, phi, grid)
-        lam, _ = schmidt.max_subtractable(
-            state, r=1, restarts=samples,
-            seed=derive_seed(seed, f"erosion/{grid.points}"), tol=tol,
+        # One spectral split serves the search and the member weights.
+        spectral = linalg.support_kernel(state.matrix, tol.rel_cutoff)
+        weights, _ = schmidt._subtractable_candidates(
+            state.matrix, spectral, state.dims, 1, samples,
+            derive_seed(seed, f"erosion/{grid.points}"), tol,
         )
+        lam = weights[0] if len(weights) else 0.0
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
-        member_best = schmidt._subtraction_weights(
-            state.matrix, linalg.support_kernel(state.matrix, tol.rel_cutoff), members,
-            tol.rel_cutoff).max()
+        member_best = schmidt._subtraction_weights(state.matrix, spectral, members,
+                                                   tol.rel_cutoff).max()
         rows.append({
             "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),

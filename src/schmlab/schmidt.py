@@ -726,8 +726,8 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
 
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
                              dims: BipartiteDims, r: int, restarts: int, seed: int,
-                             tol: RankTolerance) -> list[tuple[float, np.ndarray]]:
-    """Distinct Schmidt rank <= r states with positive subtraction weight.
+                             tol: RankTolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt rank <= r states with positive subtraction weight.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
     inside the support of omega.  `spectral` is ``(support, values,
@@ -743,9 +743,10 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     support is amplified quadratically, hence the hard floor.  On a full
     support feasibility is free and an exact seesaw descent of the
     normalized pseudo-inverse picks heavy candidates instead.  Every row is
-    weighed by one `_subtraction_weights` call against ``matrix / tr``;
-    feasible points are deduplicated by overlap and ordered by decreasing
-    weight.
+    weighed by one `_subtraction_weights` call against ``matrix / tr``.
+    Returns ``(weights, rows)`` of the positive-weight rows, heaviest
+    first; rows may repeat, and a caller that keeps several deduplicates
+    them by overlap.
     """
     support, vals, kernel = spectral
     tr = float(np.trace(matrix).real)
@@ -775,41 +776,32 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
                                    phis[:, :, None], tol.rel_cutoff)
 
     # A stable sort: equal weights keep restart order.
-    found: list[tuple[float, np.ndarray]] = []
-    for i in np.argsort(-weights, kind="stable"):
-        if weights[i] <= 0.0:
-            break
-        if any(abs(np.vdot(phis[i], other)) > 0.999 for _, other in found):
-            continue
-        found.append((float(weights[i]), phis[i]))
-    return found
+    order = np.argsort(-weights, kind="stable")
+    order = order[weights[order] > 0.0]
+    return weights[order], phis[order]
 
 
 def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
-                     c0: np.ndarray) -> np.ndarray:
+                     c0: np.ndarray, mu_stop: float) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
     Log-barrier Newton restricted to the support of omega, whose basis is
     the columns of `support`.  Greedy weight assignment along overlapping
     candidates strands removable mass; this small packing program
-    reallocates the collected pool exactly.  The barrier stops at a
-    spectral gap of about 1e-5 * rank: candidates leak out of the support
-    at the 1e-13 level, and pushing the gap lower would amplify that
-    leakage into remainder negativity beyond the PSD floor (the leftover
-    gap only pads the reported mixing weight upward, which stays an upper
-    bound).
+    reallocates the collected pool exactly.  Pool members come from
+    searches inside the support, so the barrier weight mu falls until it
+    reaches `mu_stop`, the rank cutoff at which the edge rounds split their
+    remainders; the support gap left open is then of order
+    ``mu_stop * rank`` and only pads the reported mixing weight upward,
+    which stays an upper bound.  A step or start outside the cone fails
+    the gap's Cholesky factorization and halves the weights.
     """
     omega_s = support.conj().T @ matrix @ support
     omega_s = (omega_s + omega_s.conj().T) / 2
     members = support.conj().T @ pool.T
     c = np.maximum(c0, 1e-8) * 0.9
-    for _ in range(60):  # pull the start strictly inside the cone
-        gap = omega_s - (members * c) @ members.conj().T
-        if np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0] > 1e-14:
-            break
-        c = c * 0.5
     mu = 0.1
-    while mu > 1e-5:
+    while mu > mu_stop:
         for _ in range(60):
             gap = omega_s - (members * c) @ members.conj().T
             gap = (gap + gap.conj().T) / 2
@@ -850,12 +842,11 @@ def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
                      tol: RankTolerance = DEFAULT_TOL) -> tuple[float, Optional[PureState]]:
     """Largest weight of any Schmidt rank <= r pure state under omega."""
     spectral = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
-    found = _subtractable_candidates(omega.matrix, spectral, omega.dims, r, restarts,
-                                     seed, tol)
-    if not found:
+    weights, phis = _subtractable_candidates(omega.matrix, spectral, omega.dims, r,
+                                             restarts, seed, tol)
+    if not len(weights):
         return 0.0, None
-    lam, phi = found[0]
-    return lam, PureState(phi, omega.dims)
+    return float(weights[0]), PureState(phis[0], omega.dims)
 
 
 @dataclass(frozen=True)
@@ -901,10 +892,11 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     the round admits them all to a pool: because greedy weight choices
     along overlapping candidates strand removable mass, whenever a round
     finds nothing above 1e-6 the pool weights are reallocated exactly by a
-    small packing program on omega's support.  The loop ends when a round
-    finds nothing while the pool is still empty, when five reallocations in
-    a row each fail to cut the remainder's trace by 10 %, at the packing
-    gap floor, or when the budget of search restarts is spent.
+    small packing program on omega's support, whose barrier runs down to
+    the rank cutoff `tol.rel_cutoff`.  The loop ends when a round finds
+    nothing while the pool is still empty, after five rounds in a row find
+    nothing above 1e-6, or when the budget of search restarts is spent; the
+    pool is then packed once more.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
@@ -939,8 +931,6 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     stall = 0
     while spent < budget and stall < max_stall:
         trace_left = float(np.trace(remainder).real)
-        if trace_left < 1e-9:
-            break
         rounds += 1
         inner, vals, rest = linalg.support_kernel(
             omega_support.conj().T @ remainder @ omega_support, tol.rel_cutoff)
@@ -952,7 +942,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         )
         spent += restarts_per_round
         best_lam, best_index = 0.0, -1  # the heaviest candidate comes first
-        for lam, phi in candidates:
+        for lam, phi in zip(*candidates):
             matches = np.flatnonzero(np.abs(pool.conj() @ phi) > 0.999)
             index = int(matches[0]) if matches.size else len(pool)
             if index == len(pool):
@@ -966,21 +956,19 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             continue
         if not len(pool):
             break
-        before = float(np.trace(remainder).real)
-        weights = _packing_weights(omega.matrix, omega_support, pool, c0=weights)
+        weights = _packing_weights(omega.matrix, omega_support, pool, weights,
+                                   tol.rel_cutoff)
         if len(pool) > pool_cap:
             order = np.argsort(weights)[::-1]
             keep = np.sort(order[:pool_cap])
             pool = pool[keep]
             weights = weights[keep]
         remainder = recompute_remainder()
-        after = float(np.trace(remainder).real)
-        if after <= 2e-4:
-            break  # at the packing gap floor; refinement cannot resolve less
-        stall = 0 if after < 0.9 * before else stall + 1
+        stall += 1
 
     if len(pool):
-        weights = _packing_weights(omega.matrix, omega_support, pool, c0=weights)
+        weights = _packing_weights(omega.matrix, omega_support, pool, weights,
+                                   tol.rel_cutoff)
         remainder = recompute_remainder()
 
     removed = [(float(c), PureState(phi, omega.dims))

@@ -21,7 +21,7 @@ from schmlab.schmidt import (
     min_overlap_sr,
     sn_lower_bound,
 )
-from schmlab.states import DensityMatrix, maximally_entangled, schmidt_rank
+from schmlab.states import DEFAULT_TOL, DensityMatrix, maximally_entangled, schmidt_rank
 from test_schmidt import tiles_upb_state
 
 
@@ -300,8 +300,9 @@ def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     # Half a Schmidt-rank-2 state and half a product mixture: rank 5 in 3x3
     # and certified entangled, so the remix is skipped and the greedy loop
     # searches inside omega's thin support.  It sheds the product half, down
-    # to the packing gap, on every seed: the subtraction search must find
-    # the product members on a thin support, and none may leak out of it.
+    # to the packing gap at the rank cutoff, on every seed: the subtraction
+    # search must find the product members on a thin support, and none may
+    # leak out of it.
     dims = BipartiteDims(3, 3)
     rng = rng_for(seed, "witness/edgegreedy")
     psi = random_sr_pure_state(rng, dims, 2)
@@ -309,7 +310,7 @@ def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     omega = DensityMatrix(0.5 * psi.projector() + 0.5 * products.matrix, dims)
     assert np.linalg.matrix_rank(omega.matrix) == 5 and sn_lower_bound(omega)[0] == 2
     dec = edge_decompose(omega, k=2, budget=120, seed=0)
-    assert dec.rounds > 0 and dec.p <= 0.501
+    assert dec.rounds > 0 and dec.p <= 0.500001
     rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
     assert trace_distance(rebuilt, omega.matrix) <= 1e-8
     assert dec.removed and all(schmidt_rank(m) == 1 for _, m in dec.removed)
@@ -351,3 +352,28 @@ def test_edge_remainder_resists_subtraction():
     assert dec.edge is not None and 0 < dec.p < 1
     lam, _ = max_subtractable(dec.edge, r=1, restarts=64, seed=1)
     assert lam <= 1e-4
+
+
+@pytest.mark.parametrize("i, dims, rank", [(3, (3, 3), 9), (4, (2, 3), 6)])
+def test_edge_of_general_state_resists_subtraction(i, dims, rank):
+    # A generic mixed state leaves a genuine edge: once the packing barrier
+    # runs down to the rank cutoff, no product state keeps a subtraction
+    # weight above 1e-4 in it.
+    omega = random_density_matrix(rng_for(i, "gen/recon"), BipartiteDims(*dims), rank)
+    dec = edge_decompose(omega, k=2, budget=240, seed=1)
+    assert dec.edge is not None and 0 < dec.p < 1
+    rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
+    assert trace_distance(rebuilt, omega.matrix) <= 1e-9
+    lam, _ = max_subtractable(dec.edge, r=1, restarts=64, seed=1)
+    assert lam <= 1e-4
+
+
+def test_packing_weights_pack_a_generating_pool():
+    # The generating members of a product mixture pack to total weight 1;
+    # the barrier stops at the rank cutoff, so almost none is left over.
+    mix = random_sr_mixture(rng_for(1, "pack/a"), BipartiteDims(3, 3), 1, 4)
+    pool = np.stack([psi.amplitudes for _, psi in mix.ensemble])
+    support = support_kernel(mix.matrix, DEFAULT_TOL.rel_cutoff)[0]
+    weights = schmidt._packing_weights(mix.matrix, support, pool, np.zeros(len(pool)),
+                                       DEFAULT_TOL.rel_cutoff)
+    assert np.all(weights >= 0) and weights.sum() >= 1 - 1e-6
