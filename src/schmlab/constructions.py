@@ -265,7 +265,7 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
             state.matrix, spectral, state.dims, 1, samples,
             derive_seed(seed, f"erosion/{grid.points}"), tol,
         )
-        lam = weights[0] if len(weights) else 0.0
+        lam = float(np.max(weights, initial=0.0))
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
@@ -274,7 +274,7 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
         rows.append({
             "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),
-            "optimized": float(lam),
+            "optimized": lam,
             "member_best": float(member_best),
         })
     return rows

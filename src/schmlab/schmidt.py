@@ -782,26 +782,29 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
 
 
 def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
-                     c0: np.ndarray, mu_stop: float) -> np.ndarray:
+                     c0: np.ndarray) -> np.ndarray:
     """maximize sum(c) subject to sum_i c_i |phi_i><phi_i| <= omega, c >= 0.
 
     Log-barrier Newton restricted to the support of omega, whose basis is
     the columns of `support`.  Greedy weight assignment along overlapping
     candidates strands removable mass; this small packing program
-    reallocates the collected pool exactly.  Pool members come from
-    searches inside the support, so the barrier weight mu falls until it
-    reaches `mu_stop`, the rank cutoff at which the edge rounds split their
-    remainders; the support gap left open is then of order
-    ``mu_stop * rank`` and only pads the reported mixing weight upward,
-    which stays an upper bound.  A step or start outside the cone fails
-    the gap's Cholesky factorization and halves the weights.
+    reallocates the collected pool exactly.  The barrier weight mu falls
+    toward the default rank cutoff 1e-8; the support gap left open is then
+    of order ``mu * rank`` and only pads the reported mixing weight upward,
+    which stays an upper bound.  Pool members may keep a kernel mass up to
+    the subtraction search's 1e-13 floor, and the closing gap amplifies
+    that leak quadratically into the full remainder ``matrix - sum_i c_i
+    |phi_i><phi_i|``, so each barrier stage ends with an exact check of
+    that remainder against -CERT_MARGIN, and the first stage that breaks
+    it returns the weights of the stage before.  A step or start outside
+    the cone fails the gap's Cholesky factorization and halves the weights.
     """
     omega_s = support.conj().T @ matrix @ support
     omega_s = (omega_s + omega_s.conj().T) / 2
     members = support.conj().T @ pool.T
-    c = np.maximum(c0, 1e-8) * 0.9
+    c = held = np.maximum(c0, 1e-8) * 0.9
     mu = 0.1
-    while mu > mu_stop:
+    while mu > 1e-8:
         for _ in range(60):
             gap = omega_s - (members * c) @ members.conj().T
             gap = (gap + gap.conj().T) / 2
@@ -833,8 +836,11 @@ def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
             c = c + t * step
             if np.linalg.norm(t * step) < 1e-12:
                 break
+        if linalg.min_eigenvalue(matrix - (pool.T * c) @ pool.conj()) < -CERT_MARGIN:
+            break
+        held = c
         mu *= 0.2
-    return np.maximum(c, 0.0)
+    return np.maximum(held, 0.0)
 
 
 def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
@@ -892,8 +898,9 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     the round admits them all to a pool: because greedy weight choices
     along overlapping candidates strand removable mass, whenever a round
     finds nothing above 1e-6 the pool weights are reallocated exactly by a
-    small packing program on omega's support, whose barrier runs down to
-    the rank cutoff `tol.rel_cutoff`.  The loop ends when a round finds
+    small packing program on omega's support, whose barrier runs toward
+    the default rank cutoff 1e-8 while the full remainder holds the
+    eigenvalue floor -CERT_MARGIN.  The loop ends when a round finds
     nothing while the pool is still empty, after five rounds in a row find
     nothing above 1e-6, or when the budget of search restarts is spent; the
     pool is then packed once more.
@@ -956,8 +963,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
             continue
         if not len(pool):
             break
-        weights = _packing_weights(omega.matrix, omega_support, pool, weights,
-                                   tol.rel_cutoff)
+        weights = _packing_weights(omega.matrix, omega_support, pool, weights)
         if len(pool) > pool_cap:
             order = np.argsort(weights)[::-1]
             keep = np.sort(order[:pool_cap])
@@ -967,8 +973,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         stall += 1
 
     if len(pool):
-        weights = _packing_weights(omega.matrix, omega_support, pool, weights,
-                                   tol.rel_cutoff)
+        weights = _packing_weights(omega.matrix, omega_support, pool, weights)
         remainder = recompute_remainder()
 
     removed = [(float(c), PureState(phi, omega.dims))

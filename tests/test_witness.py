@@ -21,7 +21,13 @@ from schmlab.schmidt import (
     min_overlap_sr,
     sn_lower_bound,
 )
-from schmlab.states import DEFAULT_TOL, DensityMatrix, maximally_entangled, schmidt_rank
+from schmlab.states import (
+    DEFAULT_TOL,
+    PSD_FLOOR,
+    DensityMatrix,
+    maximally_entangled,
+    schmidt_rank,
+)
 from test_schmidt import tiles_upb_state
 
 
@@ -368,12 +374,40 @@ def test_edge_of_general_state_resists_subtraction(i, dims, rank):
     assert lam <= 1e-4
 
 
+def test_edge_decompose_scale_mixture_remainder_holds_floor():
+    # Pool members of this 6x6 split leak up to the search's 1e-13 kernel
+    # mass; a barrier driven to the rank cutoff regardless amplified that
+    # into a remainder eigenvalue of -4.1e-9 and a rebuild error of 5.5e-9.
+    dims = BipartiteDims(6, 6)
+    mix = random_sr_mixture(rng_for(5, "e/6"), dims, 3, 10)
+    omega = DensityMatrix(mix.matrix, dims)
+    dec = edge_decompose(omega, k=4, budget=240, seed=1)
+    assert dec.edge is not None and 0 < dec.p < 0.558572
+    assert min_eigenvalue(omega.matrix - (1 - dec.p) * dec.within.matrix) >= PSD_FLOOR
+    rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
+    assert trace_distance(rebuilt, omega.matrix) <= 1e-9
+
+
 def test_packing_weights_pack_a_generating_pool():
     # The generating members of a product mixture pack to total weight 1;
-    # the barrier stops at the rank cutoff, so almost none is left over.
+    # the barrier runs down to the rank cutoff, so almost none is left over.
     mix = random_sr_mixture(rng_for(1, "pack/a"), BipartiteDims(3, 3), 1, 4)
     pool = np.stack([psi.amplitudes for _, psi in mix.ensemble])
     support = support_kernel(mix.matrix, DEFAULT_TOL.rel_cutoff)[0]
-    weights = schmidt._packing_weights(mix.matrix, support, pool, np.zeros(len(pool)),
-                                       DEFAULT_TOL.rel_cutoff)
+    weights = schmidt._packing_weights(mix.matrix, support, pool, np.zeros(len(pool)))
     assert np.all(weights >= 0) and weights.sum() >= 1 - 1e-6
+
+
+def test_packing_weights_leaking_pool_holds_floor():
+    # The same pool, each member moved out of the support by a kernel mass
+    # of 9e-14, just under the search's 1e-13 floor: the barrier stops at
+    # the last stage whose full remainder holds -CERT_MARGIN.
+    mix = random_sr_mixture(rng_for(1, "pack/a"), BipartiteDims(3, 3), 1, 4)
+    support, _, kernel = support_kernel(mix.matrix, DEFAULT_TOL.rel_cutoff)
+    pool = np.stack([psi.amplitudes for _, psi in mix.ensemble])
+    pool = pool + 3e-7 * kernel[:, :len(pool)].T
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    weights = schmidt._packing_weights(mix.matrix, support, pool, np.zeros(len(pool)))
+    remainder = mix.matrix - (pool.T * weights) @ pool.conj()
+    assert min_eigenvalue(remainder) >= -schmidt.CERT_MARGIN
+    assert weights.sum() >= 1 - 1e-3
