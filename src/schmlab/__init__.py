@@ -71,7 +71,6 @@ from .schmidt import (
 from .states import (
     DensityMatrix,
     PureState,
-    RankTolerance,
     SchmidtData,
     local_filter,
     maximally_entangled,

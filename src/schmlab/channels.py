@@ -21,11 +21,9 @@ from .errors import NumericError, ReferenceStateError, ValidationError
 from .linalg import BipartiteDims
 from .sampling import random_density_matrix, random_isometry, random_povm
 from .states import (
-    DEFAULT_TOL,
     MEMBER_FLOOR,
     DensityMatrix,
     PureState,
-    RankTolerance,
     maximally_entangled,
     schmidt_rank,
 )
@@ -135,13 +133,14 @@ def kraus_to_choi(channel: QuantumChannel,
     return DensityMatrix(total, dims, ensemble=members)
 
 
-def choi_to_kraus(choi: DensityMatrix, psi_ref: Optional[PureState] = None,
-                  tol: RankTolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def choi_to_kraus(choi: DensityMatrix,
+                  psi_ref: Optional[PureState] = None) -> list[np.ndarray]:
     """Kraus operators of the channel whose Choi state this is.
 
     Eigenvectors of the Choi matrix are unvectorized against the reference
     state: V = sqrt(mu) U conj(B) diag(1/s) A† where psi_ref has Schmidt
-    data (s, A, B).  The list length equals the Choi rank at tolerance.
+    data (s, A, B).  The list length equals the Choi rank, counted at
+    `linalg.RANK_CUTOFF`.
     """
     dim_out, dim_in = choi.dims.dimA, choi.dims.dimB
     if psi_ref is None:
@@ -158,7 +157,7 @@ def choi_to_kraus(choi: DensityMatrix, psi_ref: Optional[PureState] = None,
 
     unmix = data.right.conj() @ np.diag(1.0 / data.coefficients) @ data.left.conj().T
     vals, vecs = linalg.eigh(choi.matrix)
-    rank = int(np.count_nonzero(vals >= tol.rel_cutoff * vals[0]))
+    rank = int(np.count_nonzero(vals >= linalg.RANK_CUTOFF * vals[0]))
     kraus = []
     for i in range(rank):
         u = vecs[:, i].reshape(dim_out, dim_in)
@@ -188,13 +187,12 @@ class PEBCertificate:
 
 
 def certify_peb(channel: QuantumChannel, budget: int = 500, seed: int = 0,
-                tol: RankTolerance = DEFAULT_TOL,
                 psi_ref: Optional[PureState] = None) -> PEBCertificate:
     """Certify PEB order through the Schmidt number of the Choi state."""
     choi = channel.choi(psi_ref)
     if psi_ref is None:
         psi_ref = maximally_entangled(channel.dim_in)
-    cert = schmidt.certify(choi, budget=budget, seed=seed, tol=tol)
+    cert = schmidt.certify(choi, budget=budget, seed=seed)
     return PEBCertificate(k_peb_upper=cert.upper, k_peb_lower=cert.lower,
                           evidence=cert, reference=psi_ref)
 
@@ -211,12 +209,10 @@ class KrausRankProfile:
         return min(self.canonical_ranks)
 
 
-def kraus_rank_profile(channel: QuantumChannel,
-                       tol: RankTolerance = DEFAULT_TOL) -> KrausRankProfile:
+def kraus_rank_profile(channel: QuantumChannel) -> KrausRankProfile:
     """Rank of each stored Kraus operator plus the eigen-Choi ranks."""
-    ranks = tuple(linalg.matrix_rank(v, tol.rel_cutoff) for v in channel.kraus)
-    canonical = choi_to_kraus(channel.choi(), tol=tol)
-    canonical_ranks = tuple(linalg.matrix_rank(v, tol.rel_cutoff) for v in canonical)
+    ranks = tuple(linalg.matrix_rank(v) for v in channel.kraus)
+    canonical_ranks = tuple(linalg.matrix_rank(v) for v in choi_to_kraus(channel.choi()))
     return KrausRankProfile(ranks=ranks, canonical_ranks=canonical_ranks)
 
 

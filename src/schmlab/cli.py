@@ -15,10 +15,10 @@ import sys
 import time
 import warnings
 
-from . import __version__, constructions, io, schmidt
+from . import __version__, constructions, io, linalg, schmidt
 from .channels import certify_peb, kraus_rank_profile
 from .errors import NumericError, ValidationError
-from .states import PSD_FLOOR, DensityMatrix, PureState, RankTolerance, maximally_entangled
+from .states import PSD_FLOOR, DensityMatrix, PureState, maximally_entangled
 
 EFFORT_BUDGETS = {"quick": 50, "default": 500, "thorough": 5000}
 
@@ -34,17 +34,13 @@ SEED_LIMIT = 2 ** 63
 MAX_SWEEP_STEPS = 10_000
 
 
-def _tolerance(args) -> RankTolerance:
-    return RankTolerance() if args.tol is None else RankTolerance(rel_cutoff=args.tol)
-
-
-def _emit(report: dict, args, tol: RankTolerance, start: float):
+def _emit(report: dict, args, start: float):
     """Add the fields every report shares and write it to ``--json``, if given."""
     report.update(
         seed=args.seed,
         effort=args.effort,
         tolerances={
-            "rank_rel_cutoff": tol.rel_cutoff,
+            "rank_rel_cutoff": linalg.RANK_CUTOFF,
             "psd_floor": PSD_FLOOR,
             "certification_margin": schmidt.CERT_MARGIN,
         },
@@ -103,12 +99,9 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the report to this path")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the relative rank cutoff")
 
 
 def cmd_analyze_state(args) -> int:
-    tol = _tolerance(args)
     start = time.perf_counter()
     if args.input:
         state = io.load_state(args.input)
@@ -120,8 +113,7 @@ def cmd_analyze_state(args) -> int:
         raise ValidationError("provide an input path or --recipe")
     if isinstance(state, PureState):
         state = DensityMatrix.from_pure(state)
-    cert = schmidt.certify(state, budget=EFFORT_BUDGETS[args.effort],
-                           seed=args.seed, tol=tol)
+    cert = schmidt.certify(state, budget=EFFORT_BUDGETS[args.effort], seed=args.seed)
     report = {"input": descriptor, "certificate": io.certificate_to_dict(cert)}
     print(f"Schmidt number certificate: lower={cert.lower} upper={cert.upper}"
           f"{'' if cert.consistent else '  [INCONSISTENT]'}")
@@ -130,17 +122,15 @@ def cmd_analyze_state(args) -> int:
               f"eigenvalue={cert.lower_evidence.eigenvalue:.6g}")
     print(f"  decomposition: {len(cert.upper_evidence)} members, "
           f"max Schmidt rank {cert.upper}")
-    _emit(report, args, tol, start)
+    _emit(report, args, start)
     return EXIT_OK
 
 
 def cmd_analyze_channel(args) -> int:
-    tol = _tolerance(args)
     start = time.perf_counter()
     channel = io.load_channel(args.input)
-    cert = certify_peb(channel, budget=EFFORT_BUDGETS[args.effort],
-                       seed=args.seed, tol=tol)
-    profile = kraus_rank_profile(channel, tol)
+    cert = certify_peb(channel, budget=EFFORT_BUDGETS[args.effort], seed=args.seed)
+    profile = kraus_rank_profile(channel)
     report = {
         "input": {"path": args.input},
         "certificate": {
@@ -162,7 +152,7 @@ def cmd_analyze_channel(args) -> int:
     print(f"  k_peb bounds: ({cert.k_peb_lower}, {cert.k_peb_upper})")
     print(f"  Kraus ranks: {list(profile.ranks)} "
           f"(canonical min {profile.min_canonical_rank})")
-    _emit(report, args, tol, start)
+    _emit(report, args, start)
     return EXIT_OK
 
 
@@ -185,14 +175,12 @@ def _parse_grid_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    tol = _tolerance(args)
     start = time.perf_counter()
     if args.recipe == "rotation":
         grids = _parse_grid_list(args.grids)
         rows = constructions.rotation_erosion_sweep(
             args.m, grids, decay=args.decay,
-            samples=max(20, EFFORT_BUDGETS[args.effort] // 10), seed=args.seed,
-            tol=tol)
+            samples=max(20, EFFORT_BUDGETS[args.effort] // 10), seed=args.seed)
     elif args.recipe == "isotropic":
         if not args.f_step > 0:
             raise ValidationError(f"--f-step must be positive, got {args.f_step}")
@@ -217,7 +205,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"unknown sweep recipe {args.recipe!r}")
     for row in rows:
         print(json.dumps(row, sort_keys=True))
-    _emit({"sweep": args.recipe, "rows": rows}, args, tol, start)
+    _emit({"sweep": args.recipe, "rows": rows}, args, start)
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
 """Builders for the rotation-group example states and standard test states.
 
 The continuous group average over the circle is replaced by a uniform
-Riemann sum on a grid; the discrete state is a different object (always a
-finite mixture), so resistance to low-Schmidt-rank subtraction must be
-read as a trend in the grid size, never as an absolute.
+Riemann sum on a grid.  On the full circle the sum is exact from 4m+1
+points on, for mode cutoff m: the rotated product's entries carry phases
+e^(i x (k+l-k'-l')) with |k+l-k'-l'| <= 4m, and N >= 4m+1 uniform points
+average each of them exactly, so from there the grid state *is* the group
+average and a finer grid changes nothing.  Short-arc grids (arc < 1) are
+never exact.  Either way the state is a finite mixture, so resistance to
+low-Schmidt-rank subtraction must be read as a trend, never as an absolute.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from . import linalg, schmidt
 from .errors import ValidationError
 from .linalg import BipartiteDims
 from .sampling import derive_seed, rng_for
-from .states import DEFAULT_TOL, DensityMatrix, PureState, RankTolerance
+from .states import DensityMatrix, PureState
 
 # Default geometric decay of the Fourier coefficient profile.
 PROFILE_DECAY = 0.7
@@ -79,7 +83,10 @@ class RotationGrid:
         return self.arc * 2.0 * np.pi * np.arange(self.points) / self.points
 
     def check_aliasing(self, mode_cutoff: int):
-        if self.points < 2 * mode_cutoff + 1:
+        # A full circle averages exactly from 4m+1 points on (see the module
+        # docstring); a short arc is never exact and warns below 2m+1.
+        needed = (4 if self.arc == 1.0 else 2) * mode_cutoff + 1
+        if self.points < needed:
             warnings.warn(
                 f"grid of {self.points} points under-resolves modes up to "
                 f"{mode_cutoff}; aliasing may distort the group average",
@@ -244,8 +251,7 @@ def isotropic_threshold(d: int, k: int, f_tol: float = 1e-3) -> float:
 
 
 def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_DECAY,
-                           samples: int = 200, seed: int = 0,
-                           tol: RankTolerance = DEFAULT_TOL) -> list[dict]:
+                           samples: int = 200, seed: int = 0) -> list[dict]:
     """Max product-state subtraction weight per grid refinement level.
 
     For each grid size N the sweep builds the rotation state and reports
@@ -260,17 +266,16 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
     for grid in [RotationGrid(points=n_points) for n_points in grids]:
         state = build_rotation_state(phi, phi, grid)
         # One spectral split serves the search and the member weights.
-        spectral = linalg.support_kernel(state.matrix, tol.rel_cutoff)
+        spectral = linalg.support_kernel(state.matrix)
         weights, _ = schmidt._subtractable_candidates(
             state.matrix, spectral, state.dims, 1, samples,
-            derive_seed(seed, f"erosion/{grid.points}"), tol,
+            derive_seed(seed, f"erosion/{grid.points}"),
         )
         lam = float(np.max(weights, initial=0.0))
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
-        member_best = schmidt._subtraction_weights(state.matrix, spectral, members,
-                                                   tol.rel_cutoff).max()
+        member_best = schmidt._subtraction_weights(state.matrix, spectral, members).max()
         rows.append({
             "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),

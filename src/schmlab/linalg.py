@@ -28,6 +28,11 @@ HERMITICITY_TOL = 1e-8
 # Factorization residual allowed for eigh/svd, relative to the input norm.
 RESIDUAL_TOL = 1e-9
 
+# Relative cutoff separating numerical zero from signal in spectra: a
+# singular value, eigenvalue or Schmidt coefficient below RANK_CUTOFF times
+# the largest one counts as zero wherever a rank is counted.
+RANK_CUTOFF = 1e-8
+
 
 @dataclass(frozen=True)
 class BipartiteDims:
@@ -92,19 +97,20 @@ def partial_trace(m, dims: BipartiteDims, side: str) -> np.ndarray:
     raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def hermitize(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the Hermitian part (m + m†)/2; reject deviations above `tol`.
+def hermitize(m) -> np.ndarray:
+    """Return the Hermitian part (m + m†)/2; reject larger deviations.
 
-    The threshold is relative to max(1, ||m||_F) so that roundoff-sized
-    asymmetry passes while genuinely non-Hermitian inputs are refused.
+    The threshold is HERMITICITY_TOL relative to max(1, ||m||_F), so that
+    roundoff-sized asymmetry passes while genuinely non-Hermitian inputs
+    are refused.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got {m.shape}")
     dev = np.linalg.norm(m - m.conj().T)
-    if dev > tol * max(1.0, np.linalg.norm(m)):
+    if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
         raise ValidationError(
-            f"matrix deviates from Hermitian by {dev:.3e} (tolerance {tol:.1e})"
+            f"matrix deviates from Hermitian by {dev:.3e} (tolerance {HERMITICITY_TOL:.1e})"
         )
     return (m + m.conj().T) / 2
 
@@ -143,27 +149,28 @@ def min_eigenvalue(m) -> float:
 
 def trace_distance(a, b) -> float:
     """(1/2)||a - b||_1 for Hermitian a, b."""
-    diff = hermitize(as_matrix(a) - as_matrix(b), tol=np.inf)
+    diff = as_matrix(a) - as_matrix(b)
+    diff = (diff + diff.conj().T) / 2
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def matrix_rank(m, rel_cutoff: float = 1e-8) -> int:
-    """Numerical rank: singular values >= rel_cutoff * largest."""
+def matrix_rank(m) -> int:
+    """Numerical rank: singular values >= RANK_CUTOFF * largest."""
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s >= rel_cutoff * s[0]))
+    return int(np.count_nonzero(s >= RANK_CUTOFF * s[0]))
 
 
-def support_kernel(m, rel_cutoff: float = 1e-8):
+def support_kernel(m):
     """Split a Hermitian PSD operator into support/kernel bases.
 
     Returns ``(support_vectors, support_values, kernel_vectors)`` where
-    the support columns carry eigenvalues >= rel_cutoff * largest.  A
+    the support columns carry eigenvalues >= RANK_CUTOFF * largest.  A
     numerically zero operator has no support and is refused.
     """
     vals, vecs = eigh(m)
     if vals[0] <= 0.0:
         raise ValidationError("operator is numerically zero")
-    rank = int(np.count_nonzero(vals >= rel_cutoff * vals[0]))
+    rank = int(np.count_nonzero(vals >= RANK_CUTOFF * vals[0]))
     return vecs[:, :rank], vals[:rank], vecs[:, rank:]

@@ -24,15 +24,7 @@ from . import linalg
 from .errors import ValidationError, WitnessDegenerateError
 from .linalg import BipartiteDims
 from .sampling import derive_seed, random_sr_amplitudes, rng_for
-from .states import (
-    DEFAULT_TOL,
-    MEMBER_FLOOR,
-    DensityMatrix,
-    Ensemble,
-    PureState,
-    RankTolerance,
-    schmidt_rank,
-)
+from .states import MEMBER_FLOOR, DensityMatrix, Ensemble, PureState, schmidt_rank
 
 # Eigenvalue below -CERT_MARGIN counts as a certified positivity violation.
 CERT_MARGIN = 1e-9
@@ -122,9 +114,8 @@ def eigen_ensemble(omega: DensityMatrix) -> Ensemble:
     return tuple(members)
 
 
-def ensemble_max_sr(members: Sequence[tuple[float, PureState]],
-                    tol: RankTolerance = DEFAULT_TOL) -> int:
-    return max(schmidt_rank(psi, tol) for _, psi in members)
+def ensemble_max_sr(members: Sequence[tuple[float, PureState]]) -> int:
+    return max(schmidt_rank(psi) for _, psi in members)
 
 
 def _exact_ensemble(omega: DensityMatrix, cols: np.ndarray,
@@ -353,7 +344,6 @@ def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: i
 
 
 def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
-                   tol: RankTolerance = DEFAULT_TOL,
                    floor: int = 1) -> tuple[int, Ensemble]:
     """Best decomposition found: (max member Schmidt rank, ensemble).
 
@@ -379,8 +369,8 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     if omega.ensemble is not None:
         candidates.append(omega.ensemble)
 
-    best_ens = min(candidates, key=lambda ens: ensemble_max_sr(ens, tol))
-    best_k = ensemble_max_sr(best_ens, tol)
+    best_ens = min(candidates, key=ensemble_max_sr)
+    best_k = ensemble_max_sr(best_ens)
     if best_k <= max(1, floor) or budget <= 0:
         return best_k, best_ens
 
@@ -414,12 +404,10 @@ class SchmidtCertificate:
     consistent: bool
 
 
-def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0,
-            tol: RankTolerance = DEFAULT_TOL) -> SchmidtCertificate:
+def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0) -> SchmidtCertificate:
     """Run both bounds and assemble the certificate."""
     lower, evidence = sn_lower_bound(omega)
-    upper, ensemble = sn_upper_bound(omega, budget=budget, seed=seed, tol=tol,
-                                     floor=lower)
+    upper, ensemble = sn_upper_bound(omega, budget=budget, seed=seed, floor=lower)
     return SchmidtCertificate(
         lower=lower,
         upper=upper,
@@ -634,7 +622,7 @@ def build_witness(delta: DensityMatrix, k: int, seed: int = 0) -> WitnessOperato
     if k < 2:
         raise ValidationError(f"witness order must be >= 2, got {k}")
     dims = delta.dims
-    _, _, kernel = linalg.support_kernel(delta.matrix, DEFAULT_TOL.rel_cutoff)
+    _, _, kernel = linalg.support_kernel(delta.matrix)
     if kernel.shape[1] == 0:
         raise ValidationError("delta has full rank; kernel-projector witness needs a kernel")
     proj = kernel @ kernel.conj().T
@@ -681,23 +669,23 @@ def witness_from_lambda(omega: DensityMatrix) -> Optional[WitnessOperator]:
 # ---------------------------------------------------------------------------
 
 def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
-                         factors: np.ndarray, kernel_tol: float) -> np.ndarray:
+                         factors: np.ndarray) -> np.ndarray:
     """Largest lam >= 0 with ``matrix - lam F F†`` PSD, for each F of a stack.
 
     `factors` is an (n, total, m) stack and `spectral` is
     ``(support, values, kernel)`` of `matrix`.  A factor whose mass outside
-    the support exceeds `kernel_tol` of its total gets 0.  Otherwise lam is
-    1 / lambda_max(F† matrix^+ F), which for a unit vector phi is
-    1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261 (1998)); one
-    batched `eigvalsh` serves the whole stack.  Each positive lam is then
-    checked against the exact eigenvalue floor, and one whose remainder has
-    an eigenvalue below -CERT_MARGIN gets 0.
+    the support exceeds `linalg.RANK_CUTOFF` of its total gets 0.
+    Otherwise lam is 1 / lambda_max(F† matrix^+ F), which for a unit vector
+    phi is 1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261
+    (1998)); one batched `eigvalsh` serves the whole stack.  Each positive
+    lam is then checked against the exact eigenvalue floor, and one whose
+    remainder has an eigenvalue below -CERT_MARGIN gets 0.
     """
     support, vals, _ = spectral
     inside = support.conj().T @ factors
     mass = np.sum(np.abs(factors) ** 2, axis=(1, 2))
     leak = mass - np.sum(np.abs(inside) ** 2, axis=(1, 2))
-    inside[leak > kernel_tol * np.maximum(mass, 1e-30)] = 0.0
+    inside[leak > linalg.RANK_CUTOFF * np.maximum(mass, 1e-30)] = 0.0
     scaled = inside / np.sqrt(vals)[:, None]
     top = np.linalg.eigvalsh(scaled.conj().transpose(0, 2, 1) @ scaled)[:, -1]
     weights = np.divide(1.0, top, out=np.zeros_like(top), where=top > 1e-300)
@@ -708,35 +696,33 @@ def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
     return weights
 
 
-def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix,
-                    tol: RankTolerance = DEFAULT_TOL) -> float:
+def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix) -> float:
     """Largest lam >= 0 with omega - lam * sigma still PSD.
 
     Zero when sigma leaks outside the support of omega (checked at the rank
-    tolerance); otherwise 1 / ||(omega^+)^(1/2) sigma (omega^+)^(1/2)||,
+    cutoff); otherwise 1 / ||(omega^+)^(1/2) sigma (omega^+)^(1/2)||,
     verified against the exact eigenvalue floor.  `_subtraction_weights`
     computes it from sigma's eigen-factor.
     """
     if omega.dims != sigma.dims:
         raise ValidationError("omega and sigma must share dims")
-    spectral = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
-    return float(_subtraction_weights(omega.matrix, spectral, _eigen_factor(sigma)[None],
-                                      tol.rel_cutoff)[0])
+    spectral = linalg.support_kernel(omega.matrix)
+    return float(_subtraction_weights(omega.matrix, spectral, _eigen_factor(sigma)[None])[0])
 
 
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
-                             dims: BipartiteDims, r: int, restarts: int, seed: int,
-                             tol: RankTolerance) -> tuple[np.ndarray, np.ndarray]:
+                             dims: BipartiteDims, r: int, restarts: int,
+                             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt rank <= r states with positive subtraction weight.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
     inside the support of omega.  `spectral` is ``(support, values,
-    kernel)``: ``linalg.support_kernel(matrix, tol.rel_cutoff)``, or in the
-    edge loop the round's split inside omega's support, whose kernel also
-    holds omega's.  The starts are truncated support eigenvectors plus
-    random support vectors.  On a rank-deficient support the feasible set
-    is thin: its points are the zeros of <phi|P_K|phi>, with P_K the kernel
-    projector, so every start runs the witness overlap pipeline
+    kernel)``: ``linalg.support_kernel(matrix)``, or in the edge loop the
+    round's split inside omega's support, whose kernel also holds omega's.
+    The starts are truncated support eigenvectors plus random support
+    vectors.  On a rank-deficient support the feasible set is thin: its
+    points are the zeros of <phi|P_K|phi>, with P_K the kernel projector,
+    so every start runs the witness overlap pipeline
     `_overlap_rows` on P_K, and rows that end at a kernel mass of at most
     1e-13 are feasible.  Candidates are later subtracted with their full
     weight against a nearly-closed support gap, where leakage out of the
@@ -773,7 +759,7 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
         frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
         phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
     weights = _subtraction_weights(matrix / tr, (support, vals / tr, kernel),
-                                   phis[:, :, None], tol.rel_cutoff)
+                                   phis[:, :, None])
 
     # A stable sort: equal weights keep restart order.
     order = np.argsort(-weights, kind="stable")
@@ -789,7 +775,7 @@ def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
     the columns of `support`.  Greedy weight assignment along overlapping
     candidates strands removable mass; this small packing program
     reallocates the collected pool exactly.  The barrier weight mu falls
-    toward the default rank cutoff 1e-8; the support gap left open is then
+    toward the rank cutoff 1e-8; the support gap left open is then
     of order ``mu * rank`` and only pads the reported mixing weight upward,
     which stays an upper bound.  Pool members may keep a kernel mass up to
     the subtraction search's 1e-13 floor, and the closing gap amplifies
@@ -844,12 +830,11 @@ def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
 
 
 def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
-                     seed: int = 0,
-                     tol: RankTolerance = DEFAULT_TOL) -> tuple[float, Optional[PureState]]:
+                     seed: int = 0) -> tuple[float, Optional[PureState]]:
     """Largest weight of any Schmidt rank <= r pure state under omega."""
-    spectral = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    spectral = linalg.support_kernel(omega.matrix)
     weights, phis = _subtractable_candidates(omega.matrix, spectral, omega.dims, r,
-                                             restarts, seed, tol)
+                                             restarts, seed)
     if not len(weights):
         return 0.0, None
     return float(weights[0]), PureState(phis[0], omega.dims)
@@ -872,8 +857,8 @@ class EdgeDecomposition:
     rounds: int
 
 
-def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 0,
-                   tol: RankTolerance = DEFAULT_TOL) -> EdgeDecomposition:
+def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
+                   seed: int = 0) -> EdgeDecomposition:
     """Split a Schmidt-class-k state into class-(k-1) plus edge.
 
     A pure input is the only member of any decomposition of itself, so one
@@ -899,7 +884,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     along overlapping candidates strand removable mass, whenever a round
     finds nothing above 1e-6 the pool weights are reallocated exactly by a
     small packing program on omega's support, whose barrier runs toward
-    the default rank cutoff 1e-8 while the full remainder holds the
+    the rank cutoff 1e-8 while the full remainder holds the
     eigenvalue floor -CERT_MARGIN.  The loop ends when a round finds
     nothing while the pool is still empty, after five rounds in a row find
     nothing above 1e-6, or when the budget of search restarts is spent; the
@@ -908,13 +893,13 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
     r = k - 1
-    if omega.ensemble is not None and ensemble_max_sr(omega.ensemble, tol) <= r:
+    if omega.ensemble is not None and ensemble_max_sr(omega.ensemble) <= r:
         return EdgeDecomposition(p=0.0, within=omega, edge=None,
                                  removed=omega.ensemble, rounds=0)
 
-    omega_support, _, omega_kernel = linalg.support_kernel(omega.matrix, tol.rel_cutoff)
+    omega_support, _, omega_kernel = linalg.support_kernel(omega.matrix)
     if omega_support.shape[1] == 1 and schmidt_rank(
-            PureState.normalized(omega_support[:, 0], omega.dims), tol) > r:
+            PureState.normalized(omega_support[:, 0], omega.dims)) > r:
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
 
     if sn_lower_bound(omega)[0] <= r:
@@ -940,12 +925,12 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500, seed: int = 
         trace_left = float(np.trace(remainder).real)
         rounds += 1
         inner, vals, rest = linalg.support_kernel(
-            omega_support.conj().T @ remainder @ omega_support, tol.rel_cutoff)
+            omega_support.conj().T @ remainder @ omega_support)
         spectral = (omega_support @ inner, vals,
                     np.hstack([omega_kernel, omega_support @ rest]))
         candidates = _subtractable_candidates(
             remainder, spectral, omega.dims, r, restarts_per_round,
-            derive_seed(seed, f"edge/round/{rounds}"), tol,
+            derive_seed(seed, f"edge/round/{rounds}"),
         )
         spent += restarts_per_round
         best_lam, best_index = 0.0, -1  # the heaviest candidate comes first

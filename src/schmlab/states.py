@@ -31,20 +31,6 @@ MEMBER_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class RankTolerance:
-    """Relative cutoff separating numerical zero from signal in spectra."""
-
-    rel_cutoff: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_cutoff < 1.0:
-            raise ValidationError(f"rel_cutoff must lie in (0,1), got {self.rel_cutoff}")
-
-
-DEFAULT_TOL = RankTolerance()
-
-
-@dataclass(frozen=True)
 class SchmidtData:
     """Schmidt decomposition: psi = sum_i c_i |left_i> ⊗ |right_i>."""
 
@@ -98,8 +84,8 @@ class PureState:
             object.__setattr__(self, "_schmidt", cached)
         return cached
 
-    def schmidt_rank(self, tol: RankTolerance = DEFAULT_TOL) -> int:
-        return schmidt_rank(self, tol)
+    def schmidt_rank(self) -> int:
+        return schmidt_rank(self)
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -198,12 +184,12 @@ def schmidt_decompose(psi: PureState) -> SchmidtData:
     return psi.schmidt
 
 
-def schmidt_rank(psi: PureState, tol: RankTolerance = DEFAULT_TOL) -> int:
-    """Number of Schmidt coefficients above the relative cutoff."""
+def schmidt_rank(psi: PureState) -> int:
+    """Number of Schmidt coefficients >= linalg.RANK_CUTOFF * largest."""
     c = psi.schmidt.coefficients
     if c.size == 0 or c[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(c >= tol.rel_cutoff * c[0]))
+    return int(np.count_nonzero(c >= linalg.RANK_CUTOFF * c[0]))
 
 
 def maximally_entangled(d: int) -> PureState:

@@ -280,10 +280,14 @@ def test_sweep_rejects_nonpositive_step(tmp_path, step):
     assert not report.exists()
 
 
-def test_zero_tol_exits_2(tmp_path):
+def test_rank_cutoff_is_not_an_option(tmp_path):
+    # The rank cutoff is fixed: a loose one counts rank-3 members as rank 2,
+    # so a report could claim an upper bound that its own members exceed.
     fixture = tmp_path / "maxent.json"
     save_state(maximally_entangled(2), fixture)
-    assert cli.main(["analyze-state", str(fixture), "--tol", "0"]) == 2
+    proc = run_cli("analyze-state", fixture, "--tol", "0.5")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "unrecognized arguments: --tol 0.5" in proc.stderr
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -1,5 +1,7 @@
 """Rotation-group example states, Fourier families and the isotropic family."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,25 @@ def test_grid_validation_and_warning():
     phi = fourier_profile(3)
     with pytest.warns(UserWarning):
         build_rotation_state(phi, phi, RotationGrid(points=3))
+
+
+def test_full_circle_grid_is_exact_from_4m_plus_1_points():
+    # At m = 3 the phases reach |k+l-k'-l'| = 12, so 13 points give the
+    # group average exactly and 12 points do not.
+    phi = fourier_profile(3)
+    with pytest.warns(UserWarning, match="grid of 12 points under-resolves modes up to 3"):
+        coarse = build_rotation_state(phi, phi, RotationGrid(points=12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = build_rotation_state(phi, phi, RotationGrid(points=13))
+    fine = build_rotation_state(phi, phi, RotationGrid(points=32))
+    assert np.max(np.abs(exact.matrix - fine.matrix)) <= 1e-12
+    assert np.max(np.abs(coarse.matrix - fine.matrix)) > 1e-4
+    # A short arc is never exact and keeps the 2m+1 rule.
+    left = orthogonal_fourier_family(2, 3, seed=0)
+    right = orthogonal_fourier_family(2, 3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_sn_k_state(left, right, RotationGrid(points=7, arc=1 / 16))
+    with pytest.warns(UserWarning, match="grid of 6 points"):
+        build_sn_k_state(left, right, RotationGrid(points=6, arc=1 / 16))

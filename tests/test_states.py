@@ -8,7 +8,7 @@ from schmlab.errors import (
     TruncationDegenerateError,
     ValidationError,
 )
-from schmlab.linalg import BipartiteDims, partial_trace
+from schmlab.linalg import RANK_CUTOFF, BipartiteDims, partial_trace
 from schmlab.sampling import (
     random_product_state,
     random_pure_state,
@@ -20,7 +20,6 @@ from schmlab.schmidt import ensemble_max_sr, sn_upper_bound
 from schmlab.states import (
     DensityMatrix,
     PureState,
-    RankTolerance,
     local_filter,
     maximally_entangled,
     product_state,
@@ -86,7 +85,6 @@ def test_schmidt_rank_examples():
 def test_schmidt_rank_matches_reduced_rank():
     # Rank of the reduced state counted on its square-root spectrum, which
     # is the same cutoff the coefficients use.
-    tol = RankTolerance()
     rng = rng_for(1, "states/rankmatch")
     for _ in range(20):
         dims = BipartiteDims(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
@@ -95,8 +93,8 @@ def test_schmidt_rank_matches_reduced_rank():
         vals = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
         vals[vals < 1e-14 * vals.max()] = 0.0  # eigh noise floor, not signal
         roots = np.sqrt(vals)
-        reduced_rank = int(np.count_nonzero(roots >= tol.rel_cutoff * roots.max()))
-        assert schmidt_rank(psi, tol) == reduced_rank
+        reduced_rank = int(np.count_nonzero(roots >= RANK_CUTOFF * roots.max()))
+        assert schmidt_rank(psi) == reduced_rank
 
 
 def test_purify_maximally_mixed():

@@ -22,7 +22,6 @@ from schmlab.schmidt import (
     sn_lower_bound,
 )
 from schmlab.states import (
-    DEFAULT_TOL,
     PSD_FLOOR,
     DensityMatrix,
     maximally_entangled,
@@ -186,7 +185,7 @@ def test_max_subtraction_keeps_psd():
 def weights_setup():
     """A rank-5 3x3 state, its split, omega^+ and five unit rows in its support."""
     omega = random_density_matrix(rng_for(0, "witness/weights"), BipartiteDims(3, 3), rank=5)
-    spectral = support_kernel(omega.matrix, 1e-8)
+    spectral = support_kernel(omega.matrix)
     rng = rng_for(1, "witness/weights")
     rows = spectral[0] @ (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     rows = (rows / np.linalg.norm(rows, axis=0)).T
@@ -197,7 +196,7 @@ def weights_setup():
 def test_subtraction_weights_in_support_rows():
     # A unit row inside the support weighs 1/<phi|omega^+|phi>.
     omega, spectral, pinv, rows = weights_setup()
-    weights = schmidt._subtraction_weights(omega.matrix, spectral, rows[:, :, None], 1e-8)
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, rows[:, :, None])
     expected = 1.0 / np.einsum("ij,jk,ik->i", rows.conj(), pinv, rows).real
     assert np.all(weights > 0)
     assert np.allclose(weights, expected, rtol=1e-12, atol=0)
@@ -208,12 +207,12 @@ def test_subtraction_weights_leaking_row_is_zero():
     leaky = rows[0] + 1e-3 * spectral[2][:, 0]
     leaky /= np.linalg.norm(leaky)
     weights = schmidt._subtraction_weights(
-        omega.matrix, spectral, np.stack([rows[0], leaky])[:, :, None], 1e-8)
+        omega.matrix, spectral, np.stack([rows[0], leaky])[:, :, None])
     assert weights[0] > 0 and weights[1] == 0.0
 
 
 def test_subtraction_weights_failed_floor_is_zero_not_shaved():
-    # A kernel leak of 1e-11 passes the rank-tolerance leak check, but the
+    # A kernel leak of 1e-11 passes the rank-cutoff leak check, but the
     # full weight leaves a remainder below the exact floor.  Shaving the
     # weight by half a percent would pass the floor; the kernel refuses the
     # row instead.
@@ -224,7 +223,7 @@ def test_subtraction_weights_failed_floor_is_zero_not_shaved():
     sigma = np.outer(phi, phi.conj())
     assert min_eigenvalue(omega.matrix - full * sigma) < -schmidt.CERT_MARGIN
     assert min_eigenvalue(omega.matrix - 0.995 * full * sigma) >= -schmidt.CERT_MARGIN
-    weights = schmidt._subtraction_weights(omega.matrix, spectral, phi[None, :, None], 1e-8)
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, phi[None, :, None])
     assert weights[0] == 0.0
 
 
@@ -236,10 +235,10 @@ def test_subtraction_weights_stack_matches_one_row_calls(m):
     # Factor i holds rows i and i-1, so the leaky last row spoils one factor
     # at m = 1 and two at m = 2.
     factors = np.stack([stack, np.roll(stack, 1, axis=0)], axis=2)[:, :, :m] / np.sqrt(m)
-    weights = schmidt._subtraction_weights(omega.matrix, spectral, factors, 1e-8)
+    weights = schmidt._subtraction_weights(omega.matrix, spectral, factors)
     assert weights[-1] == 0.0 and np.count_nonzero(weights) == len(stack) - m
     for i, factor in enumerate(factors):
-        one = schmidt._subtraction_weights(omega.matrix, spectral, factor[None], 1e-8)
+        one = schmidt._subtraction_weights(omega.matrix, spectral, factor[None])
         assert np.array_equal(one, weights[i:i + 1])
 
 
@@ -320,7 +319,7 @@ def test_edge_decompose_greedy_split_of_rank_deficient_state(seed):
     rebuilt = (1 - dec.p) * dec.within.matrix + dec.p * dec.edge.matrix
     assert trace_distance(rebuilt, omega.matrix) <= 1e-8
     assert dec.removed and all(schmidt_rank(m) == 1 for _, m in dec.removed)
-    kernel = support_kernel(omega.matrix, 1e-8)[2]
+    kernel = support_kernel(omega.matrix)[2]
     for _, m in dec.removed:
         assert np.linalg.norm(kernel.conj().T @ m.amplitudes) ** 2 <= 1e-12
 
@@ -393,7 +392,7 @@ def test_packing_weights_pack_a_generating_pool():
     # the barrier runs down to the rank cutoff, so almost none is left over.
     mix = random_sr_mixture(rng_for(1, "pack/a"), BipartiteDims(3, 3), 1, 4)
     pool = np.stack([psi.amplitudes for _, psi in mix.ensemble])
-    support = support_kernel(mix.matrix, DEFAULT_TOL.rel_cutoff)[0]
+    support = support_kernel(mix.matrix)[0]
     weights = schmidt._packing_weights(mix.matrix, support, pool, np.zeros(len(pool)))
     assert np.all(weights >= 0) and weights.sum() >= 1 - 1e-6
 
@@ -403,7 +402,7 @@ def test_packing_weights_leaking_pool_holds_floor():
     # of 9e-14, just under the search's 1e-13 floor: the barrier stops at
     # the last stage whose full remainder holds -CERT_MARGIN.
     mix = random_sr_mixture(rng_for(1, "pack/a"), BipartiteDims(3, 3), 1, 4)
-    support, _, kernel = support_kernel(mix.matrix, DEFAULT_TOL.rel_cutoff)
+    support, _, kernel = support_kernel(mix.matrix)
     pool = np.stack([psi.amplitudes for _, psi in mix.ensemble])
     pool = pool + 3e-7 * kernel[:, :len(pool)].T
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
