@@ -29,7 +29,7 @@ from .states import MEMBER_FLOOR, DensityMatrix, Ensemble, PureState, schmidt_ra
 # Eigenvalue below -CERT_MARGIN counts as a certified positivity violation.
 CERT_MARGIN = 1e-9
 
-# Shift for the shift-and-invert descent in min_overlap_sr.
+# Shift for the shift-and-invert descent of `_overlap_descent`.
 OVERLAP_SHIFT = 1e-3
 
 # Iterations one remix trial may polish before it counts as capped.
@@ -488,9 +488,13 @@ def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
                      seed: int = 0) -> tuple[float, PureState]:
     """Grid + polish oracle for min <phi|P|phi> over Schmidt rank <= r.
 
-    Independent of the shift-and-invert path: random Schmidt-rank-r seeds
-    polished by the exact alternating minimization of `_seesaw_min_overlap`.
+    Random Schmidt-rank-r seeds polished by the exact alternating
+    minimization of `_seesaw_min_overlap`, independent of the
+    shift-and-invert descent.  At r = 1 `min_overlap_sr` runs the same
+    seesaw, but from its own starts, so the two stay independent searches.
     """
+    if samples < 1:
+        raise ValidationError(f"sample count must be >= 1, got {samples}")
     p = linalg.hermitize(p)
     dA, dB = dims.dimA, dims.dimB
     r = min(r, dims.min_dim)
@@ -575,25 +579,35 @@ def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
 
     Restart i starts from a random Schmidt-rank-r state drawn from its own
     stream ``rng_for(seed, f"min_overlap/{i}")``; all starts are drawn as
-    one batch by `random_sr_amplitudes`.  All starts then descend together
-    as rows of one array through `_overlap_rows`: the Anderson-mixed
-    shift-and-invert descent, finished by the exact seesaw.  The first
-    minimum over the finished rows wins.  The landscape is nonconvex; the
-    result is the best local value found, reproducible for a fixed seed.
-    The subtraction search runs the same pipeline on kernel projectors.
+    one batch by `random_sr_amplitudes` and descend together as rows of
+    one array.  At r >= 2 they run the pipeline of `_overlap_rows`: the
+    Anderson-mixed shift-and-invert descent, finished by 80 sweeps of the
+    exact seesaw `_seesaw_min_overlap` from each row's B factor.  At r = 1
+    a seesaw sweep is just two eigenproblems of size dimA and dimB, which
+    beats the descent, so the starts go straight into the seesaw.  The
+    first minimum over the finished rows wins.  The landscape is
+    nonconvex; the result is the best local value found, reproducible for
+    a fixed seed.  The subtraction search runs `_overlap_rows` at every
+    rank on kernel projectors.
     """
     p = linalg.hermitize(p)
     if p.shape[0] != dims.total:
         raise ValidationError(f"operator shape {p.shape} does not match dims {dims}")
     if not 1 <= r:
         raise ValidationError(f"rank bound must be >= 1, got {r}")
+    if restarts < 1:
+        raise ValidationError(f"restart count must be >= 1, got {restarts}")
     if r >= dims.min_dim:
         vals, vecs = linalg.eigh(p)
         return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
 
+    dA, dB = dims.dimA, dims.dimB
     starts = random_sr_amplitudes(
         [rng_for(seed, f"min_overlap/{i}") for i in range(restarts)], dims, r)
-    values, phis = _overlap_rows(p, starts, dims, r)
+    if r > 1:
+        starts = _overlap_descent(p, starts, dims, r)
+    frames = _schmidt_factors(starts.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
+    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
     best = int(np.argmin(values))  # first minimum: lowest restart index
     return float(values[best]), PureState(phis[best], dims)
 
@@ -617,17 +631,29 @@ def build_witness(delta: DensityMatrix, k: int, seed: int = 0) -> WitnessOperato
 
     P projects onto the kernel of `delta` and eps is the minimal overlap of
     Schmidt-rank <= k-1 pure states with P.  Then Tr(W sigma) >= 0 on the
-    whole order-(k-1) Schmidt class while Tr(W delta) = -eps < 0.
+    whole order-(k-1) Schmidt class while Tr(W delta) = -eps < 0
+    (Sanpera, Bruss & Lewenstein, PRA 63, 050301 (2001)).  When the support
+    of `delta` is one vector psi, P = I - |psi><psi| and eps has a closed
+    form: 1 minus the k-1 largest squared Schmidt coefficients of psi, met
+    by psi's own rank-(k-1) truncation (Terhal & Horodecki, PRA 61, 040301
+    (2000)), so no search runs.  Otherwise eps comes from `min_overlap_sr`.
     """
     if k < 2:
         raise ValidationError(f"witness order must be >= 2, got {k}")
     dims = delta.dims
-    _, _, kernel = linalg.support_kernel(delta.matrix)
+    support, _, kernel = linalg.support_kernel(delta.matrix)
     if kernel.shape[1] == 0:
         raise ValidationError("delta has full rank; kernel-projector witness needs a kernel")
     proj = kernel @ kernel.conj().T
 
-    epsilon, argmin = min_overlap_sr(proj, k - 1, dims, seed=seed)
+    if support.shape[1] == 1:
+        a, bh = _schmidt_factors(support[:, 0].reshape(dims.dimA, dims.dimB), k - 1)
+        best = (a @ bh).reshape(-1)
+        norm = np.linalg.norm(best)
+        epsilon = float(1.0 - norm ** 2)
+        argmin = PureState(best / norm, dims)
+    else:
+        epsilon, argmin = min_overlap_sr(proj, k - 1, dims, seed=seed)
     if epsilon <= CERT_MARGIN:
         raise WitnessDegenerateError(
             f"minimal kernel overlap {epsilon:.3e} is below the certification floor; "

@@ -420,16 +420,17 @@ def test_schmidt_factors_match_per_matrix_truncation():
 
 
 def test_min_overlap_sr_matches_per_restart_descent():
-    # All restarts descend together as rows of one array and are then
-    # finished by one batched seesaw; the result must match running each
-    # restart on its own with a direct solve and a one-row seesaw.
+    # At r >= 2 all restarts descend together as rows of one array and are
+    # then finished by one batched seesaw; the result must match running
+    # each restart on its own with a direct solve and a one-row seesaw.
     from schmlab.schmidt import OVERLAP_SHIFT, _seesaw_min_overlap, min_overlap_sr
 
-    dims = BipartiteDims(3, 3)
+    dA, dB = 4, 4
+    dims = BipartiteDims(dA, dB)
     rng = rng_for(13, "schmidt/overlap-reference")
-    q, _ = np.linalg.qr(rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)))
-    p = q @ q.conj().T  # rank-6 projector: no product state in its kernel
-    r, restarts, seed = 1, 16, 3
+    q, _ = np.linalg.qr(rng.normal(size=(16, 13)) + 1j * rng.normal(size=(16, 13)))
+    p = q @ q.conj().T  # rank-13 projector: no Schmidt-rank-2 state in its kernel
+    r, restarts, seed = 2, 16, 3
     value, argmin = min_overlap_sr(p, r, dims, restarts=restarts, seed=seed)
 
     shifted = p + OVERLAP_SHIFT * np.eye(dims.total)
@@ -438,20 +439,47 @@ def test_min_overlap_sr_matches_per_restart_descent():
         phi = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, r).amplitudes
         current = np.vdot(phi, p @ phi).real
         for _ in range(150):
-            u, s, vh = np.linalg.svd(np.linalg.solve(shifted, phi).reshape(3, 3))
+            u, s, vh = np.linalg.svd(np.linalg.solve(shifted, phi).reshape(dA, dB))
             phi = ((u[:, :r] * s[:r]) @ vh[:r, :]).reshape(-1)
             phi /= np.linalg.norm(phi)
             previous, current = current, np.vdot(phi, p @ phi).real
             if abs(current - previous) < 1e-14:
                 break
-        frame = np.linalg.svd(phi.reshape(3, 3))[2][:r, :].T
-        finished = _seesaw_min_overlap(p.reshape(3, 3, 3, 3), dims, r, frame[None], 80)[0]
+        frame = np.linalg.svd(phi.reshape(dA, dB))[2][:r, :].T
+        finished = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frame[None], 80)[0]
         assert finished[0] <= current + 1e-12
         reference.append(finished[0])
     assert value > 1e-3
     assert value == pytest.approx(min(reference), abs=1e-12)
     assert np.vdot(argmin.amplitudes, p @ argmin.amplitudes).real == pytest.approx(value, abs=1e-12)
     assert schmidt_rank(argmin) == r
+
+
+def test_min_overlap_sr_product_search_is_the_seesaw_from_each_start():
+    # At r = 1 no descent runs: every restart's B factor goes straight into
+    # the seesaw, so the result has the bits of one-row seesaw calls.
+    from schmlab.schmidt import _schmidt_factors, _seesaw_min_overlap, min_overlap_sr
+
+    dims = BipartiteDims(3, 3)
+    rng = rng_for(13, "schmidt/overlap-reference")
+    q, _ = np.linalg.qr(rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)))
+    p = q @ q.conj().T  # rank-6 projector: no product state in its kernel
+    p = (p + p.conj().T) / 2  # exactly Hermitian, so the search sees these bits
+    restarts, seed = 16, 3
+    value, argmin = min_overlap_sr(p, 1, dims, restarts=restarts, seed=seed)
+
+    values, phis = [], []
+    for restart in range(restarts):
+        start = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, 1)
+        frame = _schmidt_factors(start.amplitudes.reshape(1, 3, 3), 1)[1].transpose(0, 2, 1)
+        row_value, row_phi = _seesaw_min_overlap(p.reshape(3, 3, 3, 3), dims, 1, frame, 80)
+        values.append(row_value[0])
+        phis.append(row_phi[0])
+    best = int(np.argmin(values))
+    assert value > 1e-3
+    assert np.array_equal(value, values[best])
+    assert np.array_equal(argmin.amplitudes, phis[best])
+    assert schmidt_rank(argmin) == 1
 
 
 @pytest.mark.parametrize("dA, dB, r", [(3, 3, 1), (4, 5, 2), (2, 3, 3)])

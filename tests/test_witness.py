@@ -24,6 +24,7 @@ from schmlab.schmidt import (
 from schmlab.states import (
     PSD_FLOOR,
     DensityMatrix,
+    PureState,
     maximally_entangled,
     schmidt_rank,
 )
@@ -89,8 +90,10 @@ def test_min_overlap_full_rank_bound_is_min_eig():
 
 
 def test_min_overlap_sr_reaches_grid_minimum_above_16():
-    # At total dimension 20 the shift-and-invert descent alone stopped
+    # At total dimension 20 the shift-and-invert descent alone once stopped
     # 4.9e-8 above the minimum, which would overstate eps for a witness.
+    # Product searches now run the exact seesaw from every start, and must
+    # still reach the grid oracle's minimum.
     dims = BipartiteDims(4, 5)
     delta = random_density_matrix(rng_for(38, "witness/overshoot"), dims, rank=8)
     vals, vecs = np.linalg.eigh(delta.matrix)
@@ -99,6 +102,20 @@ def test_min_overlap_sr_reaches_grid_minimum_above_16():
     eps, phi = min_overlap_sr(p, 1, dims, restarts=64, seed=0)
     assert eps <= min_overlap_grid(p, 1, dims, samples=128, seed=1)[0] + 1e-12
     assert schmidt_rank(phi) == 1
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_min_overlap_sr_refuses_empty_search(restarts):
+    dims = BipartiteDims(3, 3)
+    with pytest.raises(ValidationError, match="restart count"):
+        min_overlap_sr(np.eye(9), 1, dims, restarts=restarts)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_min_overlap_grid_refuses_empty_search(samples):
+    dims = BipartiteDims(3, 3)
+    with pytest.raises(ValidationError, match="sample count"):
+        min_overlap_grid(np.eye(9), 1, dims, samples=samples)
 
 
 def test_grid_oracle_agrees_on_bell():
@@ -122,6 +139,35 @@ def test_build_witness_qutrit_order3():
     w = build_witness(delta, 3, seed=0)
     # Best Schmidt rank 2 overlap with the projector complement: 1 - 2/3.
     assert w.recipe["epsilon"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dA, dB", [(3, 3), (3, 4), (4, 4), (5, 4), (5, 5)])
+def test_build_witness_pure_delta_is_closed_form(dA, dB, monkeypatch):
+    # For delta = |psi><psi|, P = I - |psi><psi| and eps is 1 minus the k-1
+    # largest squared Schmidt coefficients, met by psi's own truncation;
+    # no search runs.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a pure delta ran the overlap search")
+
+    monkeypatch.setattr(schmidt, "min_overlap_sr", no_search)
+    dims = BipartiteDims(dA, dB)
+    for k in range(2, dims.min_dim + 1):
+        psi = random_sr_pure_state(rng_for(k, f"witness/pure/{dA}x{dB}"), dims, dims.min_dim)
+        s = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
+        w = build_witness(DensityMatrix.from_pure(psi), k, seed=0)
+        eps = w.recipe["epsilon"]
+        assert eps == pytest.approx(1.0 - np.sum(s[:k - 1] ** 2), abs=1e-12)
+        phi = w.recipe["argmin"]
+        assert schmidt_rank(PureState(phi, dims)) == k - 1
+        assert np.vdot(phi, w.recipe["P"] @ phi).real == pytest.approx(eps, abs=1e-12)
+
+
+@pytest.mark.parametrize("sr, k", [(1, 2), (2, 3), (2, 4)])
+def test_build_witness_pure_delta_within_order_is_degenerate(sr, k):
+    # k-1 >= SR(psi): psi itself has Schmidt rank <= k-1, so eps is 0.
+    psi = random_sr_pure_state(rng_for(sr, "witness/pure-degenerate"), BipartiteDims(3, 3), sr)
+    with pytest.raises(WitnessDegenerateError):
+        build_witness(DensityMatrix.from_pure(psi), k, seed=0)
 
 
 def test_build_witness_full_rank_rejected():
