@@ -189,6 +189,7 @@ class PEBCertificate:
 def certify_peb(channel: QuantumChannel, budget: int = 500, seed: int = 0,
                 psi_ref: Optional[PureState] = None) -> PEBCertificate:
     """Certify PEB order through the Schmidt number of the Choi state."""
+    schmidt._check_budget(budget)
     choi = channel.choi(psi_ref)
     if psi_ref is None:
         psi_ref = maximally_entangled(channel.dim_in)

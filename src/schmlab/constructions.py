@@ -267,15 +267,20 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
         state = build_rotation_state(phi, phi, grid)
         # One spectral split serves the search and the member weights.
         spectral = linalg.support_kernel(state.matrix)
-        weights, _ = schmidt._subtractable_candidates(
+        weights, phis, scaled = schmidt._subtractable_candidates(
             state.matrix, spectral, state.dims, 1, samples,
             derive_seed(seed, f"erosion/{grid.points}"),
         )
-        lam = float(np.max(weights, initial=0.0))
+        # Only the heaviest weight that holds the eigenvalue floor is needed,
+        # so the floor checks stop there.
+        best = schmidt._heaviest_within_floor(scaled, weights, phis[:, :, None])
+        lam = float(weights[best]) if best >= 0 else 0.0
         # The generating members are themselves subtractable product states;
         # the optimizer must do at least that well.
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
-        member_best = schmidt._subtraction_weights(state.matrix, spectral, members).max()
+        member_weights = schmidt._unchecked_weights(spectral, members)
+        best = schmidt._heaviest_within_floor(state.matrix, member_weights, members)
+        member_best = member_weights[best] if best >= 0 else 0.0
         rows.append({
             "grid": int(grid.points),
             "max_subtraction": float(max(lam, member_best)),

@@ -79,6 +79,12 @@ class LambdaEvidence:
     eigenvalue: float
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a negative search budget; 0 means no search."""
+    if budget < 0:
+        raise ValidationError(f"search budget must be >= 0, got {budget}")
+
+
 def sn_lower_bound(omega: DensityMatrix) -> tuple[int, Optional[LambdaEvidence]]:
     """Largest k+1 with (Id ⊗ Lambda_{1/k})(omega) negative; 1 if none.
 
@@ -145,9 +151,9 @@ class _AndersonRows:
 
     Each row of an (n, m) stack iterates a caller's plain step g toward a
     fixed point, and the engine mixes it (Walker & Ni, SIAM J. Numer. Anal.
-    49, 2011).  It holds each row's kept point, that point's value and
-    plain step, and the row's next proposal `point`.  A row that has kept
-    `ANDERSON_DEPTH + 1` points in a row proposes the mix of their last
+    49, 2011).  It holds each row's kept point, that point's value, plain
+    step and residual, and the row's next proposal `point`.  A row that has
+    kept `ANDERSON_DEPTH + 1` points in a row proposes the mix of their last
     `ANDERSON_DEPTH` differences of ``(x, g(x))``, retracted by the caller;
     any other row proposes its kept point's plain step.  `judge` always
     keeps a plain proposal and keeps a mixed one only if its value is
@@ -155,7 +161,8 @@ class _AndersonRows:
     the kept values never rise beyond what the plain step allows.  The
     mixing weights solve normal equations with a ridge of 1e-10 of the Gram
     trace, one stacked solve for every mixing row, so each row gives the
-    same bits as a stack of it alone.
+    same bits as a stack of it alone.  When every row kept its proposal, or
+    every row mixes, the engine takes whole stacks instead of masked rows.
 
     Each iteration the caller values `point`, passes the values to `judge`,
     may `drop` the rows its own rules stop, and hands `advance` the plain
@@ -165,30 +172,41 @@ class _AndersonRows:
     the start as both `kept` and `step`.
     """
 
+    EYE = np.eye(ANDERSON_DEPTH)
+    TINY = np.finfo(float).tiny
+
     def __init__(self, kept: np.ndarray, value: np.ndarray, step: np.ndarray):
         n = len(kept)
         self.index = np.arange(n)  # each live row's index into the first stack
         self.kept, self.value, self.step, self.point = kept, value, step, step
+        self.res = step - kept  # the kept point's residual g(x) - x
         self.keep = np.ones(n, dtype=bool)  # the last judged proposal was kept
+        self.kept_all = True  # ... by every row
         self.mixed = np.zeros(n, dtype=bool)  # `point` is a mix
         self.streak = np.zeros(n, dtype=int)  # points kept since the last drop
-        # The last ANDERSON_DEPTH differences of kept residuals g(x) - x and
-        # of plain steps, oldest first; a row mixes only once they are all its own.
+        # The last ANDERSON_DEPTH differences of kept residuals and of plain
+        # steps, oldest first; a row mixes only once they are all its own.
         self.d_res = np.zeros((n, ANDERSON_DEPTH, kept.shape[1]), dtype=complex)
         self.d_g = self.d_res
 
     def judge(self, value: np.ndarray) -> np.ndarray:
         """Which rows keep their proposals, valued `value`."""
-        self.keep = ~self.mixed | (value < self.value)
-        self.streak = np.where(self.keep, self.streak + 1, 0)
-        self.value = np.where(self.keep, value, self.value)
-        return self.keep
+        self.keep = keep = ~self.mixed | (value < self.value)
+        self.kept_all = np.count_nonzero(keep) == len(keep)
+        self.streak += 1
+        if self.kept_all:
+            self.value = value
+        else:
+            self.streak[~keep] = 0
+            self.value = np.where(keep, value, self.value)
+        return keep
 
     def drop(self, going: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
         """Keep only the rows `going`, and cut the caller's `arrays` to them."""
-        for name in ("index", "kept", "value", "step", "point", "keep", "mixed", "streak",
-                     "d_res", "d_g"):
+        for name in ("index", "kept", "value", "step", "res", "point", "keep", "mixed",
+                     "streak", "d_res", "d_g"):
             setattr(self, name, getattr(self, name)[going])
+        self.kept_all = np.count_nonzero(self.keep) == len(self.keep)
         return tuple(a[going] for a in arrays)
 
     def advance(self, plain: np.ndarray, retract) -> None:
@@ -197,30 +215,39 @@ class _AndersonRows:
         `plain` holds the plain steps of the kept proposals, in row order;
         `retract` maps a (rows, m) stack of mixes back onto the caller's set.
         """
-        keep = self.keep
-        prev_res, prev_g = self.step - self.kept, self.step
-        self.kept = np.where(keep[:, None], self.point, self.kept)
-        self.step = self.step.copy()
-        self.step[keep] = plain.reshape(-1, self.step.shape[1])
-        res = self.step - self.kept
-        self.d_res = np.concatenate([self.d_res[:, 1:], (res - prev_res)[:, None]], axis=1)
-        self.d_g = np.concatenate([self.d_g[:, 1:], (self.step - prev_g)[:, None]], axis=1)
+        if self.kept_all:
+            kept, step = self.point, plain.reshape(self.point.shape)
+        else:
+            kept = np.where(self.keep[:, None], self.point, self.kept)
+            step = self.step.copy()
+            step[self.keep] = plain.reshape(-1, step.shape[1])
+        res = step - kept
+        self.d_res = np.concatenate([self.d_res[:, 1:], (res - self.res)[:, None]], axis=1)
+        self.d_g = np.concatenate([self.d_g[:, 1:], (step - self.step)[:, None]], axis=1)
+        self.kept, self.step, self.res = kept, step, res
         self.mixed = mixed = self.streak > ANDERSON_DEPTH
-        self.point = self.step
-        if mixed.any():
-            d_res = self.d_res[mixed]
-            gram = d_res.conj() @ d_res.transpose(0, 2, 1)
-            ridge = 1e-10 * np.trace(gram, axis1=1, axis2=2).real + np.finfo(float).tiny
-            gamma = np.linalg.solve(gram + ridge[:, None, None] * np.eye(ANDERSON_DEPTH),
-                                    d_res.conj() @ res[mixed][..., None])
-            mix = (self.step[mixed][..., None]
-                   - self.d_g[mixed].transpose(0, 2, 1) @ gamma)[..., 0]
+        self.point = step
+        mixing = np.count_nonzero(mixed)
+        if not mixing:
+            return
+        d_res, d_g = self.d_res, self.d_g
+        if mixing < len(mixed):
+            d_res, d_g, res, step = d_res[mixed], d_g[mixed], res[mixed], step[mixed]
+        d_res_h = d_res.conj()
+        gram = d_res_h @ d_res.transpose(0, 2, 1)
+        ridge = 1e-10 * gram.trace(axis1=1, axis2=2).real + self.TINY
+        gamma = np.linalg.solve(gram + ridge[:, None, None] * self.EYE,
+                                d_res_h @ res[..., None])
+        mix = retract((step[..., None] - d_g.transpose(0, 2, 1) @ gamma)[..., 0])
+        if mixing < len(mixed):
             self.point = self.step.copy()
-            self.point[mixed] = retract(mix)
+            self.point[mixed] = mix
+        else:
+            self.point = mix
 
 
 def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
-                  trials: range, cap: int) -> list[tuple[np.ndarray, str, int]]:
+                  trials: Sequence[int], cap: int) -> list[tuple[np.ndarray, str, int]]:
     """Polish each remix trial toward Schmidt rank `target`, in trial order.
 
     Returns ``(cols, status, iterations)`` per trial: the (dims.total, size)
@@ -239,9 +266,10 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     and projects each mix back to a co-isometry with one polar SVD; a row
     whose mix it refuses takes no Procrustes refit that iteration.  The
     returned columns are the last kept point's, and every evaluation counts
-    as an iteration.  Trials of one size polish together as rows of one
-    stack and each row stops on its own, so every row gives the same bits
-    as polishing that trial alone.
+    as an iteration.  Trial t has ``size = rank + t % (rank + 1)`` members;
+    `trials` may mix sizes, and trials of one size polish together as rows
+    of one stack.  Each row stops on its own, so every row gives the same
+    bits as polishing that trial alone.
     """
     rank = factor.shape[1]
     factor_h = factor.conj().T
@@ -273,35 +301,40 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
                 cols.transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
                 full_matrices=False)
             s2 = (s * s).reshape(len(cols), size, -1)
-            norm2, tail2 = s2.sum(axis=2), s2[..., target:].sum(axis=2)
-            keep = rows.judge(tail2.sum(axis=1))
+            tail2 = np.add.reduce(s2[..., target:], axis=2)
+            keep = rows.judge(np.add.reduce(tail2, axis=1))
             # The acceptance drops members of weight <= MEMBER_FLOOR after
             # truncation; they count as converged.
-            largest = np.where(keep, np.divide(
-                tail2, norm2, out=np.zeros_like(tail2),
-                where=s2[..., :target].sum(axis=2) > MEMBER_FLOOR).max(axis=1), largest)
-            kept_cols = np.where(keep[:, None, None], cols, kept_cols)
-            stalled = settled
+            ratio = np.divide(tail2, np.add.reduce(s2, axis=2), out=np.zeros(tail2.shape),
+                              where=np.add.reduce(s2[..., :target], axis=2) > MEMBER_FLOOR)
+            if rows.kept_all:
+                largest, kept_cols = np.maximum.reduce(ratio, axis=1), cols
+            else:
+                largest = np.where(keep, np.maximum.reduce(ratio, axis=1), largest)
+                kept_cols = np.where(keep[:, None, None], cols, kept_cols)
+            converged, stalled = largest < 1e-20, settled
             if done % 100 == 0:
                 stalled = stalled | (largest > 0.81 * checkpoint)
                 checkpoint = largest
-            stop = np.where(largest < 1e-20, 0,
-                            np.where(stalled, 1, 2 if done + 1 >= cap else -1))
             truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
                          ).reshape(len(cols), size, -1).transpose(0, 2, 1)
-            going = stop < 0
-            if not going.all():
-                polished.update((group[i], (c, REMIX_STATUSES[status], done + 1))
-                                for i, c, status in zip(rows.index[~going], kept_cols[~going],
-                                                        stop[~going]))
-                if not going.any():
+            stop = converged | stalled | (done + 1 >= cap)
+            if np.count_nonzero(stop):
+                for i in np.flatnonzero(stop):
+                    status = 0 if converged[i] else 1 if stalled[i] else 2
+                    polished[group[rows.index[i]]] = (kept_cols[i], REMIX_STATUSES[status],
+                                                      done + 1)
+                if stop.all():
                     break
                 truncated, kept_cols, largest, checkpoint = rows.drop(
-                    going, truncated, kept_cols, largest, checkpoint)
-            u, _, vh = np.linalg.svd(factor_h @ truncated[rows.keep], full_matrices=False)
+                    ~stop, truncated, kept_cols, largest, checkpoint)
+            if not rows.kept_all:
+                truncated = truncated[rows.keep]
+            u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
             rows.advance(u @ vh, polar)
             cols = factor @ rows.point.reshape(-1, rank, size)
-            settled = np.linalg.norm(cols - kept_cols, axis=(1, 2)) < 1e-12
+            moved = cols - kept_cols
+            settled = np.sqrt(np.add.reduce((moved.conj() * moved).real, axis=(1, 2))) < 1e-12
     return [polished[trial] for trial in trials]
 
 
@@ -316,24 +349,33 @@ def _remix_search(omega: DensityMatrix, factor: np.ndarray, target: int, seed: i
                   share: int) -> tuple[Optional[DensityMatrix], int]:
     """Remix trials at one target rank until one is exact or `share` is spent.
 
-    Trials start at 0 and polish together in index-ordered chunks of 1, 2,
-    4, ... up to 64, each row capped at `REMIX_CAP` iterations or at what is
-    left of the share, whichever is less.  Results are read in trial order
-    and charged their iterations until the share is spent.  A converged
-    trial is accepted if its members, truncated to rank `target` and
-    renormalized, rebuild omega within trace distance 1e-8; the first
-    accepted trial wins, so its members have Schmidt rank <= target exactly
-    and a fixed seed always gives the same result.  `factor` is
-    ``_eigen_factor(omega)``.  Returns omega with the accepted ensemble
-    attached, or None, and the row-iterations charged.
+    Trials start at 0 and are taken in index-ordered chunks of 1, 2, 4, ...
+    up to 64, each row capped at `REMIX_CAP` iterations or at what was left
+    of the share when its chunk began, whichever is less.  Results are read
+    in trial order and charged their iterations until the share is spent.
+    The trials of a chunk that share a size polish together as one stack
+    (`_remix_polish`), but only once the next trial to read is one of them:
+    no size group whose first trial comes after the winner, or after the
+    share is spent, is polished.  A converged trial is accepted if its
+    members, truncated to rank `target` and renormalized, rebuild omega
+    within trace distance 1e-8; the first accepted trial wins, so its
+    members have Schmidt rank <= target exactly and a fixed seed always
+    gives the same result.  `factor` is ``_eigen_factor(omega)``.  Returns
+    omega with the accepted ensemble attached, or None, and the
+    row-iterations charged.
     """
-    used, trial, chunk = 0, 0, 1
+    sizes = factor.shape[1] + 1  # trials t and t + sizes polish as the same size
+    used, start, chunk = 0, 0, 1
     while used < share:
-        trials = range(trial, trial + chunk)
-        trial, chunk = trials.stop, min(2 * chunk, 64)
-        rows = _remix_polish(factor, omega.dims, target, seed, trials,
-                             min(REMIX_CAP, share - used))
-        for cols, status, iters in rows:
+        trials = range(start, start + chunk)
+        start, chunk = trials.stop, min(2 * chunk, 64)
+        cap, polished = min(REMIX_CAP, share - used), {}
+        for trial in trials:
+            if trial not in polished:
+                group = range(trial, trials.stop, sizes)
+                polished.update(zip(group, _remix_polish(factor, omega.dims, target, seed,
+                                                         group, cap)))
+            cols, status, iters = polished[trial]
             exact = _exact_ensemble(omega, cols, target) if status == "converged" else None
             if exact is not None:
                 return exact, used
@@ -363,8 +405,9 @@ def sn_upper_bound(omega: DensityMatrix, budget: int = 500, seed: int = 0,
     budget left divided by the number of targets left, and `_remix_search`
     spends that share: the first exact trial wins, so its members have
     Schmidt rank <= target exactly and a fixed seed always gives the same
-    result.
+    result.  A budget of 0 runs no search, and a negative one is refused.
     """
+    _check_budget(budget)
     candidates: list[Ensemble] = [eigen_ensemble(omega)]
     if omega.ensemble is not None:
         candidates.append(omega.ensemble)
@@ -405,7 +448,8 @@ class SchmidtCertificate:
 
 
 def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0) -> SchmidtCertificate:
-    """Run both bounds and assemble the certificate."""
+    """Run both bounds and assemble the certificate; see `sn_upper_bound` for `budget`."""
+    _check_budget(budget)
     lower, evidence = sn_lower_bound(omega)
     upper, ensemble = sn_upper_bound(omega, budget=budget, seed=seed, floor=lower)
     return SchmidtCertificate(
@@ -694,18 +738,16 @@ def witness_from_lambda(omega: DensityMatrix) -> Optional[WitnessOperator]:
 # Subtraction and the edge decomposition
 # ---------------------------------------------------------------------------
 
-def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
-                         factors: np.ndarray) -> np.ndarray:
-    """Largest lam >= 0 with ``matrix - lam F F†`` PSD, for each F of a stack.
+def _unchecked_weights(spectral: tuple[np.ndarray, ...], factors: np.ndarray) -> np.ndarray:
+    """Largest lam >= 0 with ``matrix - lam F F†`` PSD on paper, for each F of a stack.
 
     `factors` is an (n, total, m) stack and `spectral` is
-    ``(support, values, kernel)`` of `matrix`.  A factor whose mass outside
-    the support exceeds `linalg.RANK_CUTOFF` of its total gets 0.
+    ``(support, values, kernel)`` of the matrix.  A factor whose mass
+    outside the support exceeds `linalg.RANK_CUTOFF` of its total gets 0.
     Otherwise lam is 1 / lambda_max(F† matrix^+ F), which for a unit vector
     phi is 1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261
-    (1998)); one batched `eigvalsh` serves the whole stack.  Each positive
-    lam is then checked against the exact eigenvalue floor, and one whose
-    remainder has an eigenvalue below -CERT_MARGIN gets 0.
+    (1998)); one batched `eigvalsh` serves the whole stack.  No weight is
+    checked against the exact eigenvalue floor yet: see `_floor_holds`.
     """
     support, vals, _ = spectral
     inside = support.conj().T @ factors
@@ -714,12 +756,44 @@ def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
     inside[leak > linalg.RANK_CUTOFF * np.maximum(mass, 1e-30)] = 0.0
     scaled = inside / np.sqrt(vals)[:, None]
     top = np.linalg.eigvalsh(scaled.conj().transpose(0, 2, 1) @ scaled)[:, -1]
-    weights = np.divide(1.0, top, out=np.zeros_like(top), where=top > 1e-300)
+    return np.divide(1.0, top, out=np.zeros_like(top), where=top > 1e-300)
+
+
+def _floor_holds(matrix: np.ndarray, weight: float, factor: np.ndarray) -> bool:
+    """Whether ``matrix - weight F F†`` keeps every eigenvalue above -CERT_MARGIN."""
+    return not linalg.min_eigenvalue(matrix - weight * (factor @ factor.conj().T)) < -CERT_MARGIN
+
+
+def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
+                         factors: np.ndarray) -> np.ndarray:
+    """Largest lam >= 0 with ``matrix - lam F F†`` PSD, for each F of a stack.
+
+    The weights of `_unchecked_weights`, each positive one then checked
+    against the exact eigenvalue floor: one whose remainder has an
+    eigenvalue below -CERT_MARGIN gets 0.
+    """
+    weights = _unchecked_weights(spectral, factors)
     for i in np.flatnonzero(weights):
-        f = factors[i]
-        if linalg.min_eigenvalue(matrix - weights[i] * (f @ f.conj().T)) < -CERT_MARGIN:
+        if not _floor_holds(matrix, weights[i], factors[i]):
             weights[i] = 0.0
     return weights
+
+
+def _heaviest_within_floor(matrix: np.ndarray, weights: np.ndarray,
+                           factors: np.ndarray) -> int:
+    """Index of the heaviest F of a stack whose unchecked weight keeps the floor.
+
+    Walks the positive `weights` heaviest first, the lowest index first
+    among equal ones, and floor-checks each (`_floor_holds`) until one
+    holds; the rows after it are never checked.  So the result is the first
+    maximum of ``_subtraction_weights(matrix, spectral, factors)``, or -1
+    when every positive weight fails or none is positive.
+    """
+    order = np.argsort(-weights, kind="stable")
+    for i in order[weights[order] > 0.0]:
+        if _floor_holds(matrix, weights[i], factors[i]):
+            return int(i)
+    return -1
 
 
 def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -738,7 +812,7 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
                              dims: BipartiteDims, r: int, restarts: int,
-                             seed: int) -> tuple[np.ndarray, np.ndarray]:
+                             seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt rank <= r states with positive subtraction weight.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
@@ -755,10 +829,13 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     support is amplified quadratically, hence the hard floor.  On a full
     support feasibility is free and an exact seesaw descent of the
     normalized pseudo-inverse picks heavy candidates instead.  Every row is
-    weighed by one `_subtraction_weights` call against ``matrix / tr``.
-    Returns ``(weights, rows)`` of the positive-weight rows, heaviest
-    first; rows may repeat, and a caller that keeps several deduplicates
-    them by overlap.
+    weighed by one `_unchecked_weights` call against ``scaled = matrix /
+    tr``, with tr the trace of `matrix`.  Returns ``(weights, rows,
+    scaled)`` with the positive-weight rows heaviest first; rows may
+    repeat, and a caller that keeps several deduplicates them by overlap.
+    The weights are not yet floor-checked: a caller admits a row only once
+    `_floor_holds` passes it against `scaled`, and one that needs only the
+    heaviest admissible row walks them with `_heaviest_within_floor`.
     """
     support, vals, kernel = spectral
     tr = float(np.trace(matrix).real)
@@ -784,13 +861,12 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
         # The seesaw starts from the B factors of the normalized starts.
         frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
         phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
-    weights = _subtraction_weights(matrix / tr, (support, vals / tr, kernel),
-                                   phis[:, :, None])
+    weights = _unchecked_weights((support, vals / tr, kernel), phis[:, :, None])
 
     # A stable sort: equal weights keep restart order.
     order = np.argsort(-weights, kind="stable")
     order = order[weights[order] > 0.0]
-    return weights[order], phis[order]
+    return weights[order], phis[order], matrix / tr
 
 
 def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
@@ -859,11 +935,12 @@ def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
                      seed: int = 0) -> tuple[float, Optional[PureState]]:
     """Largest weight of any Schmidt rank <= r pure state under omega."""
     spectral = linalg.support_kernel(omega.matrix)
-    weights, phis = _subtractable_candidates(omega.matrix, spectral, omega.dims, r,
-                                             restarts, seed)
-    if not len(weights):
+    weights, phis, scaled = _subtractable_candidates(omega.matrix, spectral, omega.dims, r,
+                                                     restarts, seed)
+    best = _heaviest_within_floor(scaled, weights, phis[:, :, None])
+    if best < 0:
         return 0.0, None
-    return float(weights[0]), PureState(phis[0], omega.dims)
+    return float(weights[best]), PureState(phis[best], omega.dims)
 
 
 @dataclass(frozen=True)
@@ -905,8 +982,9 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
     remainders are small, so a relative rank cutoff on the remainder alone
     could admit directions that are absolutely negligible in omega, and a
     pool member leaking into them would poison the packing remainder once
-    subtracted with full weight.  Candidates arrive weighed and sorted, and
-    the round admits them all to a pool: because greedy weight choices
+    subtracted with full weight.  Candidates arrive weighed and sorted but
+    not yet floor-checked; the round checks each one and admits every one
+    that holds the floor to a pool: because greedy weight choices
     along overlapping candidates strand removable mass, whenever a round
     finds nothing above 1e-6 the pool weights are reallocated exactly by a
     small packing program on omega's support, whose barrier runs toward
@@ -914,10 +992,12 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
     eigenvalue floor -CERT_MARGIN.  The loop ends when a round finds
     nothing while the pool is still empty, after five rounds in a row find
     nothing above 1e-6, or when the budget of search restarts is spent; the
-    pool is then packed once more.
+    pool is then packed once more.  A budget of 0 runs no search, and a
+    negative one is refused.
     """
     if k < 2:
         raise ValidationError(f"edge decomposition needs k >= 2, got {k}")
+    _check_budget(budget)
     r = k - 1
     if omega.ensemble is not None and ensemble_max_sr(omega.ensemble) <= r:
         return EdgeDecomposition(p=0.0, within=omega, edge=None,
@@ -954,13 +1034,15 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
             omega_support.conj().T @ remainder @ omega_support)
         spectral = (omega_support @ inner, vals,
                     np.hstack([omega_kernel, omega_support @ rest]))
-        candidates = _subtractable_candidates(
+        lams, phis, scaled = _subtractable_candidates(
             remainder, spectral, omega.dims, r, restarts_per_round,
             derive_seed(seed, f"edge/round/{rounds}"),
         )
         spent += restarts_per_round
         best_lam, best_index = 0.0, -1  # the heaviest candidate comes first
-        for lam, phi in zip(*candidates):
+        for lam, phi in zip(lams, phis):
+            if not _floor_holds(scaled, lam, phi[:, None]):
+                continue
             matches = np.flatnonzero(np.abs(pool.conj() @ phi) > 0.999)
             index = int(matches[0]) if matches.size else len(pool)
             if index == len(pool):

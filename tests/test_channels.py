@@ -134,6 +134,18 @@ def test_certify_peb_depolarizing():
     assert (cert.k_peb_lower, cert.k_peb_upper) == (1, 1)
 
 
+def test_certify_peb_refuses_a_negative_budget(monkeypatch):
+    # Refused before the Choi state is built.
+    channel = completely_depolarizing(2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the Choi state was built")
+
+    monkeypatch.setattr(type(channel), "choi", no_work)
+    with pytest.raises(ValidationError, match="budget"):
+        certify_peb(channel, budget=-1)
+
+
 def test_certify_peb_keeps_a_near_maxent_reference():
     # A reference within np.allclose of maxent is still the reference used.
     rng = rng_for(15, "channels/near-maxent")

@@ -120,6 +120,38 @@ def test_erosion_sweep_optimizer_reaches_the_members(seed):
         assert row["optimized"] >= row["member_best"] - 1e-12
 
 
+def test_erosion_sweep_matches_checking_every_row(monkeypatch):
+    # The sweep floor-checks its candidates and its generating members only
+    # until the heaviest that holds; its rows equal those of a sweep that
+    # checks every row.
+    from schmlab import linalg, schmidt
+    from schmlab.constructions import PROFILE_DECAY
+    from schmlab.sampling import derive_seed
+    from test_witness import counted_floor_checks, heavier_failing
+
+    grids, samples, seed = [4, 8], 20, 1
+    phi = fourier_profile(3, PROFILE_DECAY)
+    expected, bound = [], 0
+    for n in grids:
+        state = build_rotation_state(phi, phi, RotationGrid(points=n))
+        support, vals, kernel = spectral = linalg.support_kernel(state.matrix)
+        weights, rows, scaled = schmidt._subtractable_candidates(
+            state.matrix, spectral, state.dims, 1, samples, derive_seed(seed, f"erosion/{n}"))
+        tr = float(np.trace(state.matrix).real)
+        every = schmidt._subtraction_weights(scaled, (support, vals / tr, kernel),
+                                             rows[:, :, None])
+        members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
+        member_every = schmidt._subtraction_weights(state.matrix, spectral, members)
+        lam, member_best = float(np.max(every, initial=0.0)), member_every.max()
+        expected.append({"grid": n, "max_subtraction": float(max(lam, member_best)),
+                         "optimized": lam, "member_best": float(member_best)})
+        bound += heavier_failing(weights, every) + 1
+        bound += heavier_failing(schmidt._unchecked_weights(spectral, members), member_every) + 1
+    checked = counted_floor_checks(monkeypatch)
+    assert rotation_erosion_sweep(3, grids, samples=samples, seed=seed) == expected
+    assert len(checked) <= bound
+
+
 def test_sn_k_state_single_point_is_seed():
     left = orthogonal_fourier_family(2, 2, seed=0)
     right = orthogonal_fourier_family(2, 2, seed=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schmlab.constructions import isotropic_state
+from schmlab.errors import ValidationError
 from schmlab.linalg import BipartiteDims, eigh, min_eigenvalue, partial_trace, trace_distance
 from schmlab.sampling import (
     random_density_matrix,
@@ -15,6 +16,7 @@ from schmlab.sampling import (
 from schmlab.schmidt import (
     apply_lambda_on_b,
     certify,
+    edge_decompose,
     eigen_ensemble,
     ensemble_max_sr,
     lambda_map,
@@ -351,6 +353,31 @@ def test_remix_rows_match_single_trial_polish(make, target, cap, statuses):
         assert np.array_equal(cols, ref_cols)
 
 
+def test_remix_polishes_no_size_group_after_the_winner(monkeypatch):
+    # The trial-order case: trial 1 wins in the chunk of trials 1..2, and
+    # trial 2, a size group of its own there, is never polished.
+    from schmlab import schmidt
+
+    omega = bare_mixture(rng_for(0, "schmidt/generating/3x3-r2"), 3, 2)
+    polished = []
+    polish = schmidt._remix_polish
+
+    def recording(factor, dims, target, seed, trials, cap):
+        polished.extend(trials)
+        return polish(factor, dims, target, seed, trials, cap)
+
+    monkeypatch.setattr(schmidt, "_remix_polish", recording)
+    k, ens = sn_upper_bound(omega, budget=500, seed=0, floor=2)
+    assert polished == [0, 1]
+    monkeypatch.undo()
+    ref_k, ref_ens, ref_accepted, _ = sequential_remix(omega, 500, 0, 2)
+    assert ref_accepted == [(1, 2)]
+    assert k == ref_k and len(ens) == len(ref_ens)
+    for (w, psi), (ref_w, ref_psi) in zip(ens, ref_ens):
+        assert np.array_equal(w, ref_w)
+        assert np.array_equal(psi.amplitudes, ref_psi.amplitudes)
+
+
 def test_eigen_ensemble_reconstructs():
     rng = rng_for(6, "schmidt/eig")
     omega = random_density_matrix(rng, BipartiteDims(2, 3))
@@ -613,3 +640,31 @@ def test_edge_decompose_stops_stalled_projections(monkeypatch):
     dec = schmidt.edge_decompose(omega, k=2, budget=240, seed=0)
     assert (dec.p, dec.rounds, dec.removed) == (1.0, 1, ())
     assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("search", [
+    lambda omega: sn_upper_bound(omega, budget=-5),
+    lambda omega: certify(omega, budget=-1),
+    lambda omega: edge_decompose(omega, k=2, budget=-5),
+], ids=["sn_upper_bound", "certify", "edge_decompose"])
+def test_negative_budget_is_refused_before_any_work(monkeypatch, search):
+    # A separable mixture that budget 240 splits with p = 0; a negative
+    # budget once returned p = 1 and edge = omega, as if no split existed.
+    from schmlab import linalg
+
+    omega = bare_mixture(rng_for(0, "schmidt/budget"), 3, 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    for name in ("eigh", "min_eigenvalue", "support_kernel"):
+        monkeypatch.setattr(linalg, name, no_work)
+    with pytest.raises(ValidationError, match="budget"):
+        search(omega)
+
+
+def test_zero_budget_runs_no_search():
+    omega = bare_mixture(rng_for(0, "schmidt/budget"), 3, 1)
+    assert edge_decompose(omega, k=2, budget=240, seed=0).p == 0.0
+    dec = edge_decompose(omega, k=2, budget=0, seed=0)
+    assert (dec.p, dec.rounds, dec.removed) == (1.0, 0, ())

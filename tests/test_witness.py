@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schmlab import schmidt
+from schmlab.constructions import isotropic_state
 from schmlab.errors import ValidationError, WitnessDegenerateError
 from schmlab.linalg import BipartiteDims, min_eigenvalue, support_kernel, trace_distance
 from schmlab.sampling import (
@@ -288,6 +289,65 @@ def test_subtraction_weights_stack_matches_one_row_calls(m):
         assert np.array_equal(one, weights[i:i + 1])
 
 
+def counted_floor_checks(monkeypatch):
+    """Record the weight of every `_floor_holds` call from now on."""
+    checked = []
+    holds = schmidt._floor_holds
+
+    def counting(matrix, weight, factor):
+        checked.append(weight)
+        return holds(matrix, weight, factor)
+
+    monkeypatch.setattr(schmidt, "_floor_holds", counting)
+    return checked
+
+
+def heavier_failing(unchecked, checked):
+    """How many rows fail the floor before the heaviest row that holds it."""
+    order = np.argsort(-unchecked, kind="stable")
+    walked = checked[order][unchecked[order] > 0]
+    holds = np.flatnonzero(walked > 0)
+    return int(holds[0]) if holds.size else len(walked)
+
+
+def test_heaviest_within_floor_stops_at_the_first_row_that_holds(monkeypatch):
+    # Twice the heaviest weight overshoots the floor: the walk checks that
+    # row, then the heaviest true weight, and nothing lighter.
+    omega, spectral, _, rows = weights_setup()
+    factors = rows[:, :, None]
+    weights = schmidt._unchecked_weights(spectral, factors)
+    heaviest = int(np.argmax(weights))
+    weights = np.append(weights, 2 * weights[heaviest])
+    factors = np.concatenate([factors, factors[heaviest:heaviest + 1]])
+    checked = counted_floor_checks(monkeypatch)
+    assert schmidt._heaviest_within_floor(omega.matrix, weights, factors) == heaviest
+    assert checked == [weights[-1], weights[heaviest]]
+    # When every positive weight overshoots, each is checked once, a zero
+    # weight never, and no row wins.
+    overshoot = 2 * weights[:5]
+    overshoot[0] = 0.0
+    del checked[:]
+    assert schmidt._heaviest_within_floor(omega.matrix, overshoot, factors[:5]) == -1
+    assert sorted(checked) == sorted(overshoot[1:])
+
+
+@pytest.mark.parametrize("r, restarts", [(1, 48), (2, 24)])
+def test_max_subtractable_matches_checking_every_row(monkeypatch, r, restarts):
+    mix = random_sr_mixture(rng_for(7, "witness/best"), BipartiteDims(3, 3), r, 4)
+    support, vals, kernel = spectral = support_kernel(mix.matrix)
+    weights, phis, scaled = schmidt._subtractable_candidates(mix.matrix, spectral, mix.dims,
+                                                             r, restarts, 0)
+    tr = float(np.trace(mix.matrix).real)
+    every = schmidt._subtraction_weights(scaled, (support, vals / tr, kernel), phis[:, :, None])
+    best = int(np.argmax(every))  # first maximum
+    assert every[best] > 0
+    checked = counted_floor_checks(monkeypatch)
+    lam, phi = max_subtractable(mix, r=r, restarts=restarts, seed=0)
+    assert lam == every[best]
+    assert np.array_equal(phi.amplitudes, phis[best])
+    assert len(checked) <= heavier_failing(weights, every) + 1
+
+
 def test_max_subtractable_finds_members():
     # On a product mixture the best product subtraction is at least the
     # best generating member's weight.
@@ -332,6 +392,25 @@ def test_edge_decompose_skips_remix_above_the_floor(monkeypatch):
     monkeypatch.setattr(schmidt, "_remix_polish", forbidden)
     dec = edge_decompose(omega, k=2, budget=24, seed=0)
     assert dec.rounds > 0
+
+
+def test_edge_decompose_admits_only_candidates_that_hold_the_floor(monkeypatch):
+    # The subtraction search hands the edge loop unchecked weights, and the
+    # loop floor-checks every candidate: with every check failing it admits
+    # none and stops after its first round.  The Lambda scan certifies
+    # Schmidt number 3, so the remix is skipped and the greedy rounds run.
+    omega = isotropic_state(3, 0.9)
+    assert edge_decompose(omega, k=2, budget=24, seed=0).removed
+    checked = []
+
+    def failing(matrix, weight, factor):
+        checked.append(weight)
+        return False
+
+    monkeypatch.setattr(schmidt, "_floor_holds", failing)
+    dec = edge_decompose(omega, k=2, budget=24, seed=0)
+    assert (dec.p, dec.rounds, dec.removed) == (1.0, 1, ())
+    assert checked
 
 
 def test_edge_decompose_falls_back_when_the_remix_fails():
