@@ -103,14 +103,14 @@ def _add_common_flags(parser):
 
 def cmd_analyze_state(args) -> int:
     start = time.perf_counter()
+    if bool(args.input) == bool(args.recipe):
+        raise ValidationError("provide exactly one of an input path and --recipe")
     if args.input:
         state = io.load_state(args.input)
         descriptor = {"path": args.input}
-    elif args.recipe:
+    else:
         state = _build_state(args, args.recipe)
         descriptor = _builder_provenance(args, args.recipe)
-    else:
-        raise ValidationError("provide an input path or --recipe")
     if isinstance(state, PureState):
         state = DensityMatrix.from_pure(state)
     cert = schmidt.certify(state, budget=EFFORT_BUDGETS[args.effort], seed=args.seed)
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recipe", choices=["rotation", "snk", "isotropic", "maxent"])
     p.add_argument("--out", required=True)
     _add_builder_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("sweep", help="tabulate a certificate trend over a parameter")
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
             warnings.showwarning = _show_warning
             if not 0 <= args.seed < SEED_LIMIT:
                 raise ValidationError(f"--seed must lie in [0, 2^63), got {args.seed}")
-            for path in (args.json_path, getattr(args, "out", None)):
+            for path in (getattr(args, "json_path", None), getattr(args, "out", None)):
                 if path:
                     io.check_writable(path)
             return args.func(args)

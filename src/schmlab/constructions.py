@@ -1,5 +1,9 @@
 """Builders for the rotation-group example states and standard test states.
 
+One member loop builds the rotation-group states: `build_sn_k_state`
+averages rotated copies of a rank-k seed over a grid, and the separable
+rotation state, `build_rotation_state`, is its k = 1 case.
+
 The continuous group average over the circle is replaced by a uniform
 Riemann sum on a grid.  On the full circle the sum is exact from 4m+1
 points on, for mode cutoff m: the rotated product's entries carry phases
@@ -22,7 +26,7 @@ from . import linalg, schmidt
 from .errors import ValidationError
 from .linalg import BipartiteDims
 from .sampling import derive_seed, rng_for
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, maximally_entangled
 
 # Default geometric decay of the Fourier coefficient profile.
 PROFILE_DECAY = 0.7
@@ -84,24 +88,25 @@ class RotationGrid:
 
     def check_aliasing(self, mode_cutoff: int):
         # A full circle averages exactly from 4m+1 points on (see the module
-        # docstring); a short arc is never exact and warns below 2m+1.
+        # docstring); a short arc is never exact and warns below 2m+1.  The
+        # warning names the line that called a public builder, which called
+        # `_rotation_average`, which called this.
         needed = (4 if self.arc == 1.0 else 2) * mode_cutoff + 1
         if self.points < needed:
             warnings.warn(
                 f"grid of {self.points} points under-resolves modes up to "
                 f"{mode_cutoff}; aliasing may distort the group average",
-                stacklevel=3,
+                stacklevel=4,
             )
-
-
-def rotation_unitary(x: float, m: int) -> np.ndarray:
-    """Diagonal unitary with entries e^(i x k), k = -m..m."""
-    modes = np.arange(-m, m + 1)
-    return np.diag(np.exp(1j * x * modes))
 
 
 def _rotation_phases(x: float, m: int) -> np.ndarray:
     return np.exp(1j * x * np.arange(-m, m + 1))
+
+
+def rotation_unitary(x: float, m: int) -> np.ndarray:
+    """Diagonal unitary with entries e^(i x k), k = -m..m."""
+    return np.diag(_rotation_phases(x, m))
 
 
 def fourier_profile(m: int, decay: float = PROFILE_DECAY) -> FourierVector:
@@ -154,22 +159,11 @@ def build_rotation_state(phi1: FourierVector, phi2: FourierVector,
                          grid: RotationGrid) -> DensityMatrix:
     """Grid average of rotated product states (separable by construction).
 
-    Each grid point x contributes the product state
-    (V_x phi1) ⊗ (V_x phi2) with weight 1/N; the generating ensemble is
-    attached to the result.
+    The k = 1 case of `build_sn_k_state`: each grid point x contributes the
+    product state (V_x phi1) ⊗ (V_x phi2) with weight 1/N, and the
+    generating ensemble is attached to the result.
     """
-    if phi1.mode_cutoff != phi2.mode_cutoff:
-        raise ValidationError("mode cutoffs of the two factors must match")
-    m = phi1.mode_cutoff
-    grid.check_aliasing(m)
-    dims = BipartiteDims(phi1.dim, phi2.dim)
-    weight = 1.0 / grid.points
-    members = []
-    for x in grid.xs():
-        phases = _rotation_phases(x, m)
-        vec = np.kron(phases * phi1.coefficients, phases * phi2.coefficients)
-        members.append((weight, PureState.normalized(vec, dims)))
-    return DensityMatrix.from_ensemble(members)
+    return _rotation_average([phi1], [phi2], grid)
 
 
 def build_sn_k_state(left: Sequence[FourierVector], right: Sequence[FourierVector],
@@ -179,11 +173,19 @@ def build_sn_k_state(left: Sequence[FourierVector], right: Sequence[FourierVecto
     The seed is (1/sqrt(k)) sum_i left_i ⊗ right_i ⊗ |i>, rotated by
     V_x ⊗ V_x ⊗ I over the grid (use arc = 1/n for the short-arc family).
     The result is declared bipartite as H1 versus H2 ⊗ K, so every
-    generating member has Schmidt rank exactly k.
+    generating member has Schmidt rank exactly k.  At k = 1 the ancilla K
+    is one-dimensional and this is the rotation state.
     """
+    return _rotation_average(left, right, grid)
+
+
+def _rotation_average(left: Sequence[FourierVector], right: Sequence[FourierVector],
+                      grid: RotationGrid) -> DensityMatrix:
+    # The member loop of both public builders.  Each calls it directly, so
+    # the aliasing warning names the line that called the builder.
     k = len(left)
-    if k < 2 or len(right) != k:
-        raise ValidationError("need k >= 2 vector pairs, one per seed term")
+    if k < 1 or len(right) != k:
+        raise ValidationError("need k >= 1 vector pairs, one per seed term")
     m = left[0].mode_cutoff
     if any(v.mode_cutoff != m for v in list(left) + list(right)):
         raise ValidationError("all vectors must share one mode cutoff")
@@ -217,8 +219,6 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
         raise ValidationError(f"fidelity must lie in [0,1], got {fidelity}")
     if d < 2:
         raise ValidationError("isotropic family needs d >= 2")
-    from .states import maximally_entangled
-
     p_max = maximally_entangled(d).projector()
     rest = (np.eye(d * d) - p_max) / (d * d - 1)
     return DensityMatrix(fidelity * p_max + (1.0 - fidelity) * rest,

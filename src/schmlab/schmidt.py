@@ -248,7 +248,7 @@ class _AndersonRows:
 
 def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: int,
                   trials: Sequence[int], cap: int) -> list[tuple[np.ndarray, str, int]]:
-    """Polish each remix trial toward Schmidt rank `target`, in trial order.
+    """Polish one size group of remix trials toward Schmidt rank `target`.
 
     Returns ``(cols, status, iterations)`` per trial: the (dims.total, size)
     member columns and why the row stopped after that many iterations.
@@ -266,76 +266,72 @@ def _remix_polish(factor: np.ndarray, dims: BipartiteDims, target: int, seed: in
     and projects each mix back to a co-isometry with one polar SVD; a row
     whose mix it refuses takes no Procrustes refit that iteration.  The
     returned columns are the last kept point's, and every evaluation counts
-    as an iteration.  Trial t has ``size = rank + t % (rank + 1)`` members;
-    `trials` may mix sizes, and trials of one size polish together as rows
-    of one stack.  Each row stops on its own, so every row gives the same
-    bits as polishing that trial alone.
+    as an iteration.  Trial t has ``size = rank + t % (rank + 1)`` members,
+    and `trials` is one size group (trials ``rank + 1`` apart), which
+    polishes as the rows of one stack.  Each row stops on its own, so every
+    row gives the same bits as polishing that trial alone.
     """
     rank = factor.shape[1]
+    size = rank + trials[0] % (rank + 1)
     factor_h = factor.conj().T
-    polished = {}
+    polished = [None] * len(trials)
 
     def polar(mix):
         u, _, vh = np.linalg.svd(mix.reshape(len(mix), rank, -1), full_matrices=False)
         return (u @ vh).reshape(len(mix), -1)
 
-    for size in range(rank, 2 * rank + 1):
-        group = [trial for trial in trials if rank + trial % (rank + 1) == size]
-        if not group:
-            continue
-        draws = []
-        for trial in group:
-            rng = rng_for(seed, f"sn_upper/remix/{trial}")
-            draws.append(rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)))
-        # rank x size co-isometries, co_iso @ co_iso† = I; the first
-        # proposal is each row's draw itself.
-        start = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
-        cols = factor @ start
-        start = start.reshape(len(group), -1)
-        rows = _AndersonRows(start, np.zeros(len(group)), start)
-        kept_cols, largest = cols, np.zeros(len(group))
-        checkpoint = np.full(len(group), np.inf)
-        settled = np.zeros(len(group), dtype=bool)
-        for done in range(cap):
-            u, s, vh = np.linalg.svd(
-                cols.transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
-                full_matrices=False)
-            s2 = (s * s).reshape(len(cols), size, -1)
-            tail2 = np.add.reduce(s2[..., target:], axis=2)
-            keep = rows.judge(np.add.reduce(tail2, axis=1))
-            # The acceptance drops members of weight <= MEMBER_FLOOR after
-            # truncation; they count as converged.
-            ratio = np.divide(tail2, np.add.reduce(s2, axis=2), out=np.zeros(tail2.shape),
-                              where=np.add.reduce(s2[..., :target], axis=2) > MEMBER_FLOOR)
-            if rows.kept_all:
-                largest, kept_cols = np.maximum.reduce(ratio, axis=1), cols
-            else:
-                largest = np.where(keep, np.maximum.reduce(ratio, axis=1), largest)
-                kept_cols = np.where(keep[:, None, None], cols, kept_cols)
-            converged, stalled = largest < 1e-20, settled
-            if done % 100 == 0:
-                stalled = stalled | (largest > 0.81 * checkpoint)
-                checkpoint = largest
-            truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
-                         ).reshape(len(cols), size, -1).transpose(0, 2, 1)
-            stop = converged | stalled | (done + 1 >= cap)
-            if np.count_nonzero(stop):
-                for i in np.flatnonzero(stop):
-                    status = 0 if converged[i] else 1 if stalled[i] else 2
-                    polished[group[rows.index[i]]] = (kept_cols[i], REMIX_STATUSES[status],
-                                                      done + 1)
-                if stop.all():
-                    break
-                truncated, kept_cols, largest, checkpoint = rows.drop(
-                    ~stop, truncated, kept_cols, largest, checkpoint)
-            if not rows.kept_all:
-                truncated = truncated[rows.keep]
-            u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
-            rows.advance(u @ vh, polar)
-            cols = factor @ rows.point.reshape(-1, rank, size)
-            moved = cols - kept_cols
-            settled = np.sqrt(np.add.reduce((moved.conj() * moved).real, axis=(1, 2))) < 1e-12
-    return [polished[trial] for trial in trials]
+    draws = []
+    for trial in trials:
+        rng = rng_for(seed, f"sn_upper/remix/{trial}")
+        draws.append(rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)))
+    # rank x size co-isometries, co_iso @ co_iso† = I; the first
+    # proposal is each row's draw itself.
+    start = np.linalg.qr(np.stack(draws))[0].conj().transpose(0, 2, 1)
+    cols = factor @ start
+    start = start.reshape(len(trials), -1)
+    rows = _AndersonRows(start, np.zeros(len(trials)), start)
+    kept_cols, largest = cols, np.zeros(len(trials))
+    checkpoint = np.full(len(trials), np.inf)
+    settled = np.zeros(len(trials), dtype=bool)
+    for done in range(cap):
+        u, s, vh = np.linalg.svd(
+            cols.transpose(0, 2, 1).reshape(-1, dims.dimA, dims.dimB),
+            full_matrices=False)
+        s2 = (s * s).reshape(len(cols), size, -1)
+        tail2 = np.add.reduce(s2[..., target:], axis=2)
+        keep = rows.judge(np.add.reduce(tail2, axis=1))
+        # The acceptance drops members of weight <= MEMBER_FLOOR after
+        # truncation; they count as converged.
+        ratio = np.divide(tail2, np.add.reduce(s2, axis=2), out=np.zeros(tail2.shape),
+                          where=np.add.reduce(s2[..., :target], axis=2) > MEMBER_FLOOR)
+        if rows.kept_all:
+            largest, kept_cols = np.maximum.reduce(ratio, axis=1), cols
+        else:
+            largest = np.where(keep, np.maximum.reduce(ratio, axis=1), largest)
+            kept_cols = np.where(keep[:, None, None], cols, kept_cols)
+        converged, stalled = largest < 1e-20, settled
+        if done % 100 == 0:
+            stalled = stalled | (largest > 0.81 * checkpoint)
+            checkpoint = largest
+        truncated = ((u[..., :target] * s[..., None, :target]) @ vh[..., :target, :]
+                     ).reshape(len(cols), size, -1).transpose(0, 2, 1)
+        stop = converged | stalled | (done + 1 >= cap)
+        if np.count_nonzero(stop):
+            for i in np.flatnonzero(stop):
+                status = 0 if converged[i] else 1 if stalled[i] else 2
+                polished[rows.index[i]] = (kept_cols[i], REMIX_STATUSES[status], done + 1)
+            if stop.all():
+                break
+            truncated, kept_cols, largest, checkpoint = rows.drop(
+                ~stop, truncated, kept_cols, largest, checkpoint)
+        if not rows.kept_all:
+            truncated = truncated[rows.keep]
+        u, _, vh = np.linalg.svd(factor_h @ truncated, full_matrices=False)
+        rows.advance(u @ vh, polar)
+        cols = factor @ rows.point.reshape(-1, rank, size)
+        moved = cols - kept_cols
+        settled = np.sqrt(np.add.reduce((moved.conj() * moved).real, axis=(1, 2))) < 1e-12
+    return polished
 
 
 def _eigen_factor(rho: DensityMatrix) -> np.ndarray:
@@ -1017,17 +1013,11 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
     pool = np.zeros((0, omega.dims.total), dtype=np.complex128)
     weights = np.zeros(0)
     pool_cap = 64
-    remainder = omega.matrix.copy()
-
-    def recompute_remainder():
-        return omega.matrix - (pool.T * weights) @ pool.conj()
-
     restarts_per_round = 12
     max_stall = 5
-    spent = 0
-    rounds = 0
-    stall = 0
-    while spent < budget and stall < max_stall:
+    rounds = stall = 0
+    while rounds * restarts_per_round < budget and stall < max_stall:
+        remainder = omega.matrix - (pool.T * weights) @ pool.conj()
         trace_left = float(np.trace(remainder).real)
         rounds += 1
         inner, vals, rest = linalg.support_kernel(
@@ -1038,7 +1028,6 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
             remainder, spectral, omega.dims, r, restarts_per_round,
             derive_seed(seed, f"edge/round/{rounds}"),
         )
-        spent += restarts_per_round
         best_lam, best_index = 0.0, -1  # the heaviest candidate comes first
         for lam, phi in zip(lams, phis):
             if not _floor_holds(scaled, lam, phi[:, None]):
@@ -1051,7 +1040,6 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
                 best_lam, best_index = lam, index
         if best_lam * trace_left > 1e-6:
             weights[best_index] += 0.5 * best_lam * trace_left
-            remainder = recompute_remainder()
             stall = 0
             continue
         if not len(pool):
@@ -1062,12 +1050,11 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
             keep = np.sort(order[:pool_cap])
             pool = pool[keep]
             weights = weights[keep]
-        remainder = recompute_remainder()
         stall += 1
 
     if len(pool):
         weights = _packing_weights(omega.matrix, omega_support, pool, weights)
-        remainder = recompute_remainder()
+    remainder = omega.matrix - (pool.T * weights) @ pool.conj()
 
     removed = [(float(c), PureState(phi, omega.dims))
                for c, phi in zip(weights, pool) if c > 1e-12]

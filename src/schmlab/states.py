@@ -84,9 +84,6 @@ class PureState:
             object.__setattr__(self, "_schmidt", cached)
         return cached
 
-    def schmidt_rank(self) -> int:
-        return schmidt_rank(self)
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 

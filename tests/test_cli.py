@@ -186,6 +186,35 @@ def test_build_bad_parameters_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--json", "r.json"], ["--effort", "thorough"]],
+                         ids=["json", "effort"])
+def test_build_refuses_report_flags(tmp_path, monkeypatch, flags):
+    # build writes only its --out file, so the report flags are not accepted.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "snk", "--out", "s.json", *flags])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_state_refuses_a_file_and_a_recipe(tmp_path, capsys, monkeypatch):
+    # Given both, analyze-state used to certify the file and drop the recipe.
+    fixture = tmp_path / "iso.json"
+    save_state(constructions.isotropic_state(3, 0.5), fixture)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input was loaded or built")
+
+    monkeypatch.setattr(cli.io, "load_state", forbidden)
+    monkeypatch.setattr(cli, "_build_state", forbidden)
+    report = tmp_path / "report.json"
+    code = cli.main(["analyze-state", str(fixture), "--recipe", "maxent", "--d", "2",
+                     "--json", str(report)])
+    assert code == 2
+    assert "provide exactly one of an input path and --recipe" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "rotation", "--grids", "4"],
     ["build", "snk"],

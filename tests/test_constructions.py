@@ -1,5 +1,6 @@
 """Rotation-group example states, Fourier families and the isotropic family."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from schmlab.constructions import (
     rotation_unitary,
 )
 from schmlab.errors import ValidationError
+from schmlab.linalg import BipartiteDims
 from schmlab.schmidt import (
     certify,
     ensemble_max_sr,
@@ -193,6 +195,57 @@ def test_sn_k_state_rejects_nonorthogonal():
     phi = fourier_profile(2)
     with pytest.raises(ValidationError):
         build_sn_k_state([phi, phi], [phi, phi], RotationGrid(points=2, arc=0.5))
+
+
+def ensemble_bytes(state):
+    return (state.matrix.tobytes(),
+            [(np.float64(w).tobytes(), psi.amplitudes.tobytes()) for w, psi in state.ensemble])
+
+
+def test_rotation_state_is_the_k1_sn_k_state():
+    # One member loop builds both families: the rotation state is the k = 1
+    # rank-k state byte for byte, and both match the average of rotated
+    # product states (V_x phi1) ⊗ (V_x phi2) written out here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # coarse grids warn by design
+        for m in range(5):
+            dims = BipartiteDims(2 * m + 1, 2 * m + 1)
+            modes = np.arange(-m, m + 1)
+            for phi1, phi2 in ((fourier_profile(m), fourier_profile(m)),
+                               (fourier_profile(m), fourier_profile(m, 0.4))):
+                for arc in (1.0, 0.5, 1 / 16):
+                    for points in range(1, 33):
+                        grid = RotationGrid(points=points, arc=arc)
+                        rotation = build_rotation_state(phi1, phi2, grid)
+                        snk = build_sn_k_state([phi1], [phi2], grid)
+                        assert rotation.dims == snk.dims == dims
+                        assert ensemble_bytes(rotation) == ensemble_bytes(snk)
+                        reference = []
+                        for x in grid.xs():
+                            phases = np.exp(1j * x * modes)
+                            vec = np.kron(phases * phi1.coefficients,
+                                          phases * phi2.coefficients)
+                            reference.append((vec / np.linalg.norm(vec)).tobytes())
+                        assert [amp for _, amp in ensemble_bytes(rotation)[1]] == reference
+
+
+@pytest.mark.parametrize("builder", ["rotation", "snk"])
+def test_aliasing_warning_names_the_callers_line(builder):
+    # Both builders share one member loop, and the warning still points at
+    # the line that called the builder, not at the builders' module.
+    phi = fourier_profile(2)
+    left = orthogonal_fourier_family(2, 2, seed=0)
+    right = orthogonal_fourier_family(2, 2, seed=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if builder == "rotation":
+            build_rotation_state(phi, phi, RotationGrid(points=3))
+            line = inspect.currentframe().f_lineno - 1
+        else:
+            build_sn_k_state(left, right, RotationGrid(points=3, arc=1 / 16))
+            line = inspect.currentframe().f_lineno - 1
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+    assert "grid of 3 points under-resolves modes up to 2" in str(caught[0].message)
 
 
 def test_isotropic_extremes():
