@@ -256,9 +256,11 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
 
     For each grid size N the sweep builds the rotation state and reports
     the largest weight of any optimized product state that can be removed
-    while keeping the state positive: the finite fingerprint of the
-    continuum state's immunity to such subtractions is this number eroding
-    as N grows.
+    while keeping the state positive, next to the best generating member's
+    weight.  On the full circle the grid state is the exact group average
+    from N = 4m+1 points on, so the rows stop changing there; the finite
+    fingerprint of the continuum state's immunity to such subtractions is
+    the weight eroding as the mode cutoff m grows, not as N grows.
     """
     phi = fourier_profile(m, decay)
     rows = []

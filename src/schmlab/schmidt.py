@@ -461,58 +461,70 @@ def certify(omega: DensityMatrix, budget: int = 500, seed: int = 0) -> SchmidtCe
 # Minimal overlap of bounded-Schmidt-rank states with a PSD operator
 # ---------------------------------------------------------------------------
 
-def _frame_forms(p: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Quadratic forms of an operator restricted to a stack of side frames.
+# Every search takes its operator P as a form ``(c, s, e)``:
+# P = c (I - S S†) + S diag(e) S†, where S = `s` has orthonormal columns.
+# A kernel projector is ``(1, support, 0)``, so no search builds P densely.
 
-    `p` is the operator as (d, f, f, d) over (frame row, free row, free
-    column, frame column) and `frames` an (n, d, r) stack.  Row n of the
-    result is the (r*f, r*f) form over (frame column k, free index) pairs:
-    ``sum_ij conj(frames[n, i, k]) p[i, x, y, j] frames[n, j, l]``.  Each
-    frame column l takes two batched products, one BLAS call per row each,
-    and writes its block in place, so no intermediate is larger than the
-    form itself.
+def _overlaps(form: tuple, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<v|P|v> and S†v for each row of an (n, total) stack, P given as a form.
+
+    The value is read as ``c ||v - S S†v||^2 + sum(e |S†v|^2)``, so a row
+    that lies nearly inside S keeps the precision of its small mass outside
+    it.  Each row takes its own products, so it has the bits of a stack of
+    it alone.
     """
-    n, d, r = frames.shape
-    f = p.shape[1]
-    form = np.empty((n, r, f, r, f), dtype=np.complex128)
-    left = frames.conj().transpose(0, 2, 1)
-    for l in range(r):
-        # (n, d*f*f, 1): frame column l contracted; the frame row leads.
-        right = p.reshape(-1, d) @ frames[:, :, l, None]
-        form[:, :, :, l, :] = (left @ right.reshape(n, d, f * f)).reshape(n, r, f, f)
-    return form.reshape(n, r * f, r * f)
+    c, s, e = form
+    inside = s.conj().T @ vecs[..., None]
+    outside = vecs - (s @ inside)[..., 0]
+    inside = inside[..., 0]
+    return (c * np.einsum("ij,ij->i", outside.conj(), outside).real
+            + np.einsum("ij,ij->i", inside.conj() * e, inside).real), inside
 
 
-def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
-                        b: np.ndarray, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _frame_forms(form: tuple, frames: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Quadratic forms of P restricted to a stack of orthonormal side frames.
+
+    `side` is the form's S as (d, f*k) over (frame index, free index and
+    column of S) and `frames` an (n, d, r) stack with orthonormal columns.
+    Row n of the result is the (r*f, r*f) form over (frame column, free
+    index) pairs, ``c I + G diag(e - c) G†`` with ``G[l, x] = sum_i
+    conj(frames[n, i, l]) side[i, x]``.  G and the form take one product
+    per row each, so each row has the bits of a stack of it alone.
+    """
+    c, _, e = form
+    g = (frames.conj().transpose(0, 2, 1) @ side).reshape(len(frames), -1, len(e))
+    return (g * (e - c)) @ g.conj().transpose(0, 2, 1) + c * np.eye(g.shape[1])
+
+
+def _seesaw_min_overlap(form: tuple, dims: BipartiteDims, b: np.ndarray,
+                        sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact alternating minimization of <phi|P|phi> over Schmidt rank <= r.
 
     With one side's frame held orthonormal, the optimal other side is the
     bottom eigenvector of a contracted (r*d)-dimensional quadratic form, so
-    every sweep is a pair of exact eigenproblems.  `p4` is the operator
-    reshaped to (dA, dB, dA, dB) and `b` an (n, dB, r) stack of starting
-    B frames.  All starts descend together as rows: each sweep makes one
-    batched QR, the batched products of `_frame_forms` and one batched
-    `eigh` per side.  A row freezes once its value moves by less
-    than 1e-12, and every row gives the same bits as a call on it alone.
-    Returns each row's value and unit vector phi.
+    every sweep is a pair of exact eigenproblems; at r = min(dimA, dimB)
+    one sweep solves the full eigenproblem of P.  P is a form and `b` an
+    (n, dB, r) stack of starting B frames.  All starts descend together as
+    rows: each sweep makes one batched QR, the batched products of
+    `_frame_forms` and one batched `eigh` per side.  A row freezes once
+    its value moves by less than 1e-12, and every row gives the same bits
+    as a call on it alone.  Returns each row's value and unit vector phi.
     """
     dA, dB = dims.dimA, dims.dimB
-    # The operator laid out for each side's forms: frame indices outermost.
-    p_for_a = np.ascontiguousarray(p4.transpose(1, 0, 2, 3))
-    p_for_b = np.ascontiguousarray(p4.transpose(0, 1, 3, 2))
+    r = b.shape[2]
+    # S laid out for each side's forms, that side's frame index first.
+    for_a = form[1].reshape(dA, dB, -1).transpose(1, 0, 2).reshape(dB, -1)
+    for_b = form[1].reshape(dA, -1)
     a = np.empty((len(b), dA, r), dtype=np.complex128)
     b = np.array(b, dtype=np.complex128)
     values = np.full(len(b), np.inf)
     active = np.arange(len(b))
     for _ in range(sweeps):
         # B orthonormal -> solve for the A-side stack.
-        qa = _frame_forms(p_for_a, np.linalg.qr(b[active])[0])
-        vecs = np.linalg.eigh((qa + qa.conj().transpose(0, 2, 1)) / 2)[1]
+        vecs = np.linalg.eigh(_frame_forms(form, np.linalg.qr(b[active])[0], for_a))[1]
         # A orthonormal -> solve for the B-side stack.
         oa = np.linalg.qr(vecs[:, :, 0].reshape(-1, r, dA).transpose(0, 2, 1))[0]
-        qb = _frame_forms(p_for_b, oa)
-        vals, vecs = np.linalg.eigh((qb + qb.conj().transpose(0, 2, 1)) / 2)
+        vals, vecs = np.linalg.eigh(_frame_forms(form, oa, for_b))
         a[active] = oa
         b[active] = vecs[:, :, 0].reshape(-1, r, dB).transpose(0, 2, 1)
         moving = np.abs(vals[:, 0] - values[active]) >= 1e-12
@@ -524,132 +536,137 @@ def _seesaw_min_overlap(p4: np.ndarray, dims: BipartiteDims, r: int,
     return values, phis / np.linalg.norm(phis, axis=1, keepdims=True)
 
 
-def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
-                     seed: int = 0) -> tuple[float, PureState]:
-    """Grid + polish oracle for min <phi|P|phi> over Schmidt rank <= r.
-
-    Random Schmidt-rank-r seeds polished by the exact alternating
-    minimization of `_seesaw_min_overlap`, independent of the
-    shift-and-invert descent.  At r = 1 `min_overlap_sr` runs the same
-    seesaw, but from its own starts, so the two stay independent searches.
-    """
-    if samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {samples}")
-    p = linalg.hermitize(p)
-    dA, dB = dims.dimA, dims.dimB
-    r = min(r, dims.min_dim)
-    frames = []
-    for sample in range(samples):
-        rng = rng_for(seed, f"min_overlap_grid/{sample}")
-        # Each sample's seed stream starts with an A frame; the seesaw solves
-        # for A first, so it is drawn only to keep every B frame unchanged.
-        rng.normal(size=2 * dA * r)
-        frames.append(rng.normal(size=(dB, r)) + 1j * rng.normal(size=(dB, r)))
-    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r,
-                                       np.stack(frames), 80)
-    best = int(np.argmin(values))  # first minimum: lowest sample index
-    return float(values[best]), PureState(phis[best], dims)
-
-
-def _overlap_descent(p: np.ndarray, phis: np.ndarray, dims: BipartiteDims,
+def _overlap_descent(form: tuple, phis: np.ndarray, dims: BipartiteDims,
                      r: int) -> np.ndarray:
     """Anderson-mixed shift-and-invert descent of <phi|P|phi>, row by row.
 
     The plain step g(phi) applies ``(P + OVERLAP_SHIFT)^-1`` to the
     (n, dims.total) unit rows, truncates them to Schmidt rank `r` and
-    renormalizes, so it pushes every row toward the bottom of P.
-    `_AndersonRows` mixes the rows on <phi|P|phi>, and truncates and
+    renormalizes, so it pushes every row toward the bottom of P.  That
+    inverse is the form ``(1 / (c + shift), S, 1 / (e + shift))``, applied
+    by one product with S to the S†phi that valued phi.  `_AndersonRows`
+    mixes the rows on <phi|P|phi> (`_overlaps`), and truncates and
     renormalizes each mix the same way.  A row stops once a kept point
     moves its value by less than 1e-14, or after 150 evaluations past its
     start; it returns its last kept point.  Every row gives the same bits
     as a call on it alone.
     """
     dA, dB = dims.dimA, dims.dimB
-    resolvent = np.linalg.inv(p + OVERLAP_SHIFT * np.eye(dims.total))
+    c, s, e = form
+    # The inverse as c' I + S diag(e' - c') S†.
+    c_inv = 1.0 / (c + OVERLAP_SHIFT)
+    d_inv = 1.0 / (e + OVERLAP_SHIFT) - c_inv
 
     def truncated(vecs):
         a, bh = _schmidt_factors(vecs.reshape(-1, dA, dB), r)
         vecs = (a @ bh).reshape(len(vecs), dims.total)
         return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
-    def plain(vecs):
-        return truncated((resolvent @ vecs[..., None])[..., 0])
-
-    def value(vecs):
-        return np.einsum("ij,ij->i", vecs.conj(), (p @ vecs[..., None])[..., 0]).real
+    def plain(vecs, inside):
+        return truncated(c_inv * vecs + (s @ (d_inv * inside)[..., None])[..., 0])
 
     out = np.array(phis, dtype=np.complex128)
-    rows = _AndersonRows(out.copy(), value(out), plain(out))
+    value, inside = _overlaps(form, out)
+    rows = _AndersonRows(out.copy(), value, plain(out, inside))
     for _ in range(150):
-        point_value = value(rows.point)
+        point_value, inside = _overlaps(form, rows.point)
         moved = np.abs(point_value - rows.value) >= 1e-14
         keep = rows.judge(point_value)
         out[rows.index[keep]] = rows.point[keep]
         going = ~keep | moved
         if not going.any():
             break
-        rows.drop(going)
-        rows.advance(plain(rows.point[rows.keep]), truncated)
+        (inside,) = rows.drop(going, inside)
+        rows.advance(plain(rows.point[rows.keep], inside[rows.keep]), truncated)
     return out
 
 
-def _overlap_rows(p: np.ndarray, rows: np.ndarray, dims: BipartiteDims,
-                  r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize <phi|P|phi> over Schmidt rank <= r from each of a stack of rows.
+def _minimize_overlap(form: tuple, starts: np.ndarray, dims: BipartiteDims, r: int,
+                      descend: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize <phi|P|phi> over Schmidt rank <= r from each row of a stack.
 
-    Every unit row of the (n, dims.total) stack runs the Anderson-mixed
-    shift-and-invert descent of `_overlap_descent`.  The descent alone can
-    stop above the minimum, so every row is then finished by 80 sweeps of
-    the exact alternating minimization of `_seesaw_min_overlap`, started
-    from that row's B factor.  Returns each row's value and unit vector;
-    every row gives the same bits as a call on it alone, and an empty stack
-    gives empty results.
+    Every overlap search runs here.  With `descend`, the unit rows of the
+    (n, dims.total) stack first run the shift-and-invert descent of
+    `_overlap_descent`; it can stop above the minimum, so every row is then
+    finished by 80 sweeps of the exact seesaw `_seesaw_min_overlap`,
+    started from its B factor.  Returns each row's value and unit vector;
+    every row gives the same bits as a call on it alone.
     """
-    if not len(rows):
-        return np.zeros(0), rows
-    dA, dB = dims.dimA, dims.dimB
-    rows = _overlap_descent(p, rows, dims, r)
-    frames = _schmidt_factors(rows.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
-    return _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
+    if descend:
+        starts = _overlap_descent(form, starts, dims, r)
+    frames = _schmidt_factors(starts.reshape(-1, dims.dimA, dims.dimB), r)[1]
+    return _seesaw_min_overlap(form, dims, frames.transpose(0, 2, 1), 80)
+
+
+def _best_overlap(form: tuple, r: int, dims: BipartiteDims, label: str, count: int,
+                  seed: int, descend: bool) -> tuple[float, PureState]:
+    """First minimum of `_minimize_overlap` over `count` random starts.
+
+    Start i is a random Schmidt-rank-r state drawn from its own stream
+    ``rng_for(seed, f"{label}/{i}")``; all starts are drawn as one batch by
+    `random_sr_amplitudes` and descend together as rows of one array.
+    """
+    starts = random_sr_amplitudes([rng_for(seed, f"{label}/{i}") for i in range(count)],
+                                  dims, r)
+    values, phis = _minimize_overlap(form, starts, dims, r, descend)
+    best = int(np.argmin(values))  # first minimum: lowest start index
+    return float(values[best]), PureState(phis[best], dims)
+
+
+def _factored(p, r: int, dims: BipartiteDims) -> tuple:
+    """The form ``(0, V, w)`` of a dense operator, from one `eigh`.
+
+    This is the boundary check of both public overlap searches: it refuses
+    a non-Hermitian `p`, one whose shape does not match `dims`, and a rank
+    bound below 1.
+    """
+    p = linalg.hermitize(p)
+    if p.shape[0] != dims.total:
+        raise ValidationError(f"operator shape {p.shape} does not match dims {dims}")
+    if r < 1:
+        raise ValidationError(f"rank bound must be >= 1, got {r}")
+    vals, vecs = np.linalg.eigh(p)
+    return 0.0, vecs, vals
+
+
+def min_overlap_grid(p, r: int, dims: BipartiteDims, samples: int = 200,
+                     seed: int = 0) -> tuple[float, PureState]:
+    """Grid + polish oracle for min <phi|P|phi> over Schmidt rank <= r.
+
+    Random Schmidt-rank-r samples, each drawn from the stream
+    ``rng_for(seed, f"min_overlap_grid/{i}")``, polished by the exact
+    alternating minimization of `_seesaw_min_overlap` at every rank,
+    independent of the shift-and-invert descent.  At r = 1
+    `min_overlap_sr` runs the same seesaw, but from its own starts, so the
+    two stay independent searches.  `p` is factored and checked as in
+    `min_overlap_sr`.
+    """
+    if samples < 1:
+        raise ValidationError(f"sample count must be >= 1, got {samples}")
+    return _best_overlap(_factored(p, r, dims), r, dims, "min_overlap_grid", samples,
+                         seed, False)
 
 
 def min_overlap_sr(p, r: int, dims: BipartiteDims, restarts: int = 64,
                    seed: int = 0) -> tuple[float, PureState]:
     """epsilon = min <phi|P|phi> over pure phi with Schmidt rank <= r.
 
+    `p` is factored once by one `eigh` into the form every search takes.
     Restart i starts from a random Schmidt-rank-r state drawn from its own
-    stream ``rng_for(seed, f"min_overlap/{i}")``; all starts are drawn as
-    one batch by `random_sr_amplitudes` and descend together as rows of
-    one array.  At r >= 2 they run the pipeline of `_overlap_rows`: the
-    Anderson-mixed shift-and-invert descent, finished by 80 sweeps of the
-    exact seesaw `_seesaw_min_overlap` from each row's B factor.  At r = 1
-    a seesaw sweep is just two eigenproblems of size dimA and dimB, which
-    beats the descent, so the starts go straight into the seesaw.  The
-    first minimum over the finished rows wins.  The landscape is
+    stream ``rng_for(seed, f"min_overlap/{i}")``.  At r >= 2 the starts run
+    the Anderson-mixed shift-and-invert descent, finished by 80 sweeps of
+    the exact seesaw `_seesaw_min_overlap` from each row's B factor.  At
+    r = 1 a seesaw sweep is just two eigenproblems of size dimA and dimB,
+    which beats the descent, so the starts go straight into the seesaw.
+    The first minimum over the finished rows wins.  The landscape is
     nonconvex; the result is the best local value found, reproducible for
-    a fixed seed.  The subtraction search runs `_overlap_rows` at every
-    rank on kernel projectors.
+    a fixed seed.  The witness and the subtraction search run the same
+    minimizer, `_minimize_overlap`, on forms built from a support.
     """
-    p = linalg.hermitize(p)
-    if p.shape[0] != dims.total:
-        raise ValidationError(f"operator shape {p.shape} does not match dims {dims}")
-    if not 1 <= r:
-        raise ValidationError(f"rank bound must be >= 1, got {r}")
     if restarts < 1:
         raise ValidationError(f"restart count must be >= 1, got {restarts}")
-    if r >= dims.min_dim:
-        vals, vecs = linalg.eigh(p)
-        return float(vals[-1]), PureState.normalized(vecs[:, -1], dims)
-
-    dA, dB = dims.dimA, dims.dimB
-    starts = random_sr_amplitudes(
-        [rng_for(seed, f"min_overlap/{i}") for i in range(restarts)], dims, r)
-    if r > 1:
-        starts = _overlap_descent(p, starts, dims, r)
-    frames = _schmidt_factors(starts.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
-    values, phis = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frames, 80)
-    best = int(np.argmin(values))  # first minimum: lowest restart index
-    return float(values[best]), PureState(phis[best], dims)
+    return _best_overlap(_factored(p, r, dims), r, dims, "min_overlap", restarts, seed,
+                         r > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +693,9 @@ def build_witness(delta: DensityMatrix, k: int, seed: int = 0) -> WitnessOperato
     of `delta` is one vector psi, P = I - |psi><psi| and eps has a closed
     form: 1 minus the k-1 largest squared Schmidt coefficients of psi, met
     by psi's own rank-(k-1) truncation (Terhal & Horodecki, PRA 61, 040301
-    (2000)), so no search runs.  Otherwise eps comes from `min_overlap_sr`.
+    (2000)), so no search runs.  Otherwise eps comes from the search of
+    `min_overlap_sr`, run on P through delta's support S as the form
+    ``(1, S, 0)``, that is P = I - S S†.
     """
     if k < 2:
         raise ValidationError(f"witness order must be >= 2, got {k}")
@@ -693,7 +712,8 @@ def build_witness(delta: DensityMatrix, k: int, seed: int = 0) -> WitnessOperato
         epsilon = float(1.0 - norm ** 2)
         argmin = PureState(best / norm, dims)
     else:
-        epsilon, argmin = min_overlap_sr(proj, k - 1, dims, seed=seed)
+        epsilon, argmin = _best_overlap((1.0, support, np.zeros(support.shape[1])), k - 1,
+                                        dims, "min_overlap", 64, seed, k > 2)
     if epsilon <= CERT_MARGIN:
         raise WitnessDegenerateError(
             f"minimal kernel overlap {epsilon:.3e} is below the certification floor; "
@@ -816,19 +836,21 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     kernel)``: ``linalg.support_kernel(matrix)``, or in the edge loop the
     round's split inside omega's support, whose kernel also holds omega's.
     The starts are truncated support eigenvectors plus random support
-    vectors.  On a rank-deficient support the feasible set is thin: its
-    points are the zeros of <phi|P_K|phi>, with P_K the kernel projector,
-    so every start runs the witness overlap pipeline
-    `_overlap_rows` on P_K, and rows that end at a kernel mass of at most
-    1e-13 are feasible.  Candidates are later subtracted with their full
-    weight against a nearly-closed support gap, where leakage out of the
-    support is amplified quadratically, hence the hard floor.  On a full
-    support feasibility is free and an exact seesaw descent of the
-    normalized pseudo-inverse picks heavy candidates instead.  Every row is
-    weighed by one `_unchecked_weights` call against ``scaled = matrix /
-    tr``, with tr the trace of `matrix`.  Returns ``(weights, rows,
-    scaled)`` with the positive-weight rows heaviest first; rows may
-    repeat, and a caller that keeps several deduplicates them by overlap.
+    vectors.  Both searches run `_minimize_overlap` on a form over the
+    support S.  On a rank-deficient support the feasible set is thin: its
+    points are the zeros of <phi|P_K|phi>, with P_K = I - S S† the kernel
+    projector, the form ``(1, S, 0)``.  So every start runs the witness's
+    descent and seesaw on P_K, and rows that end at a kernel mass of at
+    most 1e-13 are feasible.  Candidates are later subtracted with their
+    full weight against a nearly-closed support gap, where leakage out of
+    the support is amplified quadratically, hence the hard floor.  On a
+    full support feasibility is free and the seesaw alone minimizes the
+    normalized pseudo-inverse ``(0, S, min(vals) / vals)`` to pick heavy
+    candidates instead.  Every row is weighed by one `_unchecked_weights`
+    call against ``scaled = matrix / tr``, with tr the trace of `matrix`.
+    Returns ``(weights, rows, scaled)`` with the positive-weight rows
+    heaviest first; rows may repeat, and a caller that keeps several
+    deduplicates them by overlap.
     The weights are not yet floor-checked: a caller admits a row only once
     `_floor_holds` passes it against `scaled`, and one that needs only the
     heaviest admissible row walks them with `_heaviest_within_floor`.
@@ -846,17 +868,11 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     a, bh = _schmidt_factors(np.reshape(starts, (-1, dims.dimA, dims.dimB)), r)
     truncated = a @ bh
     truncated /= np.linalg.norm(truncated, axis=(1, 2), keepdims=True)
-    phis = truncated.reshape(len(starts), -1)
-    if kernel.shape[1]:
-        masses, phis = _overlap_rows(kernel @ kernel.conj().T, phis, dims, r)
-        phis = phis[masses <= 1e-13]
-    else:
-        pinv = (support / vals) @ support.conj().T * tr
-        pinv = (pinv + pinv.conj().T) / 2 * (float(vals[-1]) / tr)
-        pinv4 = pinv.reshape(dims.dimA, dims.dimB, dims.dimA, dims.dimB)
-        # The seesaw starts from the B factors of the normalized starts.
-        frames = _schmidt_factors(truncated, r)[1].transpose(0, 2, 1)
-        phis = _seesaw_min_overlap(pinv4, dims, r, frames, 80)[1]
+    thin = kernel.shape[1] > 0
+    form = (1.0, support, np.zeros(rank)) if thin else (0.0, support, vals[-1] / vals)
+    values, phis = _minimize_overlap(form, truncated.reshape(len(starts), -1), dims, r, thin)
+    if thin:
+        phis = phis[values <= 1e-13]
     weights = _unchecked_weights((support, vals / tr, kernel), phis[:, :, None])
 
     # A stable sort: equal weights keep restart order.

@@ -122,6 +122,15 @@ def test_erosion_sweep_optimizer_reaches_the_members(seed):
         assert row["optimized"] >= row["member_best"] - 1e-12
 
 
+@pytest.mark.parametrize("m", range(4, 13))
+def test_rotation_rows_reach_the_members_weight(m):
+    # On the full circle from 4m+1 points on, the members' weight is
+    # exactly 1/(4m+1); the searched product weight must reach it from
+    # m = 4 on.  Rows m = 1-3 still stop below it.
+    row = rotation_erosion_sweep(m, [4 * m + 1], samples=64, seed=1)[0]
+    assert -1e-9 <= row["optimized"] - 1 / (4 * m + 1) <= 1e-7
+
+
 def test_erosion_sweep_matches_checking_every_row(monkeypatch):
     # The sweep floor-checks its candidates and its generating members only
     # until the heaviest that holds; its rows equal those of a sweep that

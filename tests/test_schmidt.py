@@ -456,8 +456,8 @@ def test_schmidt_factors_match_per_matrix_truncation():
 def test_min_overlap_sr_matches_per_restart_descent():
     # At r >= 2 all restarts descend together as rows of one array and are
     # then finished by one batched seesaw; the result must match running
-    # each restart on its own with a direct solve and a one-row seesaw.
-    from schmlab.schmidt import OVERLAP_SHIFT, _seesaw_min_overlap, min_overlap_sr
+    # each restart on its own with a dense direct solve and a one-row seesaw.
+    from schmlab.schmidt import OVERLAP_SHIFT, _factored, _seesaw_min_overlap, min_overlap_sr
 
     dA, dB = 4, 4
     dims = BipartiteDims(dA, dB)
@@ -468,6 +468,7 @@ def test_min_overlap_sr_matches_per_restart_descent():
     value, argmin = min_overlap_sr(p, r, dims, restarts=restarts, seed=seed)
 
     shifted = p + OVERLAP_SHIFT * np.eye(dims.total)
+    form = _factored(p, r, dims)
     reference = []
     for restart in range(restarts):
         phi = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, r).amplitudes
@@ -480,7 +481,7 @@ def test_min_overlap_sr_matches_per_restart_descent():
             if abs(current - previous) < 1e-14:
                 break
         frame = np.linalg.svd(phi.reshape(dA, dB))[2][:r, :].T
-        finished = _seesaw_min_overlap(p.reshape(dA, dB, dA, dB), dims, r, frame[None], 80)[0]
+        finished = _seesaw_min_overlap(form, dims, frame[None], 80)[0]
         assert finished[0] <= current + 1e-12
         reference.append(finished[0])
     assert value > 1e-3
@@ -491,8 +492,10 @@ def test_min_overlap_sr_matches_per_restart_descent():
 
 def test_min_overlap_sr_product_search_is_the_seesaw_from_each_start():
     # At r = 1 no descent runs: every restart's B factor goes straight into
-    # the seesaw, so the result has the bits of one-row seesaw calls.
-    from schmlab.schmidt import _schmidt_factors, _seesaw_min_overlap, min_overlap_sr
+    # the seesaw on the factored operator, so the result has the bits of
+    # one-row seesaw calls.
+    from schmlab.schmidt import (_factored, _schmidt_factors, _seesaw_min_overlap,
+                                 min_overlap_sr)
 
     dims = BipartiteDims(3, 3)
     rng = rng_for(13, "schmidt/overlap-reference")
@@ -502,11 +505,12 @@ def test_min_overlap_sr_product_search_is_the_seesaw_from_each_start():
     restarts, seed = 16, 3
     value, argmin = min_overlap_sr(p, 1, dims, restarts=restarts, seed=seed)
 
+    form = _factored(p, 1, dims)
     values, phis = [], []
     for restart in range(restarts):
         start = random_sr_pure_state(rng_for(seed, f"min_overlap/{restart}"), dims, 1)
         frame = _schmidt_factors(start.amplitudes.reshape(1, 3, 3), 1)[1].transpose(0, 2, 1)
-        row_value, row_phi = _seesaw_min_overlap(p.reshape(3, 3, 3, 3), dims, 1, frame, 80)
+        row_value, row_phi = _seesaw_min_overlap(form, dims, frame, 80)
         values.append(row_value[0])
         phis.append(row_phi[0])
     best = int(np.argmin(values))
@@ -536,23 +540,55 @@ def test_sr_amplitudes_match_per_restart_draws(dA, dB, r):
         assert schmidt_rank(PureState(row, dims)) == rank
 
 
+def random_forms(rng, dims):
+    """Forms (c, S, e) of a kernel projector, a dense operator and a mixed one."""
+    from schmlab.schmidt import _factored
+
+    n = dims.total
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense = _factored(g @ g.conj().T / n, 1, dims)
+    return [(1.0, u[:, 3:], np.zeros(n - 3)), dense,
+            (0.7, u[:, :n - 2], rng.uniform(0.0, 2.0, size=n - 2))]
+
+
+def dense_operator(form):
+    c, s, e = form
+    return c * (np.eye(len(s)) - s @ s.conj().T) + (s * e) @ s.conj().T
+
+
 @pytest.mark.parametrize("dA, dB, r", [(2, 3, 1), (2, 3, 2), (4, 3, 1), (4, 3, 2), (4, 3, 3)])
 def test_seesaw_forms_match_einsum(dA, dB, r):
-    # The contracted forms the seesaw builds by batched products equal the
-    # three-operand einsum they replace, on both sides.
+    # The contracted forms the seesaw builds from a factored operator equal
+    # the three-operand einsum of the dense operator, on both sides, with
+    # the form index ordered (frame column, free index).
     from schmlab.schmidt import _frame_forms
 
     rng = rng_for(16, f"schmidt/forms/{dA}x{dB}-r{r}")
-    n = dA * dB
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    p = g @ g.conj().T
-    p4 = (p / np.trace(p).real).reshape(dA, dB, dA, dB)
     ob = np.linalg.qr(rng.normal(size=(5, dB, r)) + 1j * rng.normal(size=(5, dB, r)))[0]
     oa = np.linalg.qr(rng.normal(size=(5, dA, r)) + 1j * rng.normal(size=(5, dA, r)))[0]
-    qa = np.einsum("aibj,nik,njl->nkalb", p4, ob.conj(), ob).reshape(-1, r * dA, r * dA)
-    qb = np.einsum("aibj,nak,nbl->nkilj", p4, oa.conj(), oa).reshape(-1, r * dB, r * dB)
-    assert np.allclose(_frame_forms(p4.transpose(1, 0, 2, 3), ob), qa, rtol=0, atol=1e-13)
-    assert np.allclose(_frame_forms(p4.transpose(0, 1, 3, 2), oa), qb, rtol=0, atol=1e-13)
+    for form in random_forms(rng, BipartiteDims(dA, dB)):
+        p4 = dense_operator(form).reshape(dA, dB, dA, dB)
+        qa = np.einsum("aibj,nik,njl->nkalb", p4, ob.conj(), ob).reshape(-1, r * dA, r * dA)
+        qb = np.einsum("aibj,nak,nbl->nkilj", p4, oa.conj(), oa).reshape(-1, r * dB, r * dB)
+        s = form[1].reshape(dA, dB, -1)
+        for_a = s.transpose(1, 0, 2).reshape(dB, -1)  # frame index first
+        assert np.allclose(_frame_forms(form, ob, for_a), qa, rtol=0, atol=1e-13)
+        assert np.allclose(_frame_forms(form, oa, s.reshape(dA, -1)), qb, rtol=0, atol=1e-13)
+
+
+def test_factored_kernel_mass_keeps_its_precision():
+    # A support vector plus a 1e-10 kernel component has kernel mass 1e-20;
+    # reading it as ||phi||^2 - ||S† phi||^2 would leave only roundoff.
+    from schmlab.schmidt import _overlaps
+
+    rng = rng_for(18, "schmidt/kernel-mass")
+    n = 20
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    support, kernel = u[:, :7], u[:, 7:]
+    phis = support[:, :3].T + 1e-10 * kernel[:, :3].T
+    masses = _overlaps((1.0, support, np.zeros(7)), phis)[0]
+    assert np.allclose(masses, 1e-20, rtol=0, atol=1e-24)
 
 
 @pytest.mark.parametrize("dA, dB, r", [(3, 3, 1), (4, 5, 2)])
@@ -566,12 +602,13 @@ def test_overlap_descent_rows_match_single_row_calls(dA, dB, r):
     dims = BipartiteDims(dA, dB)
     rng = rng_for(17, f"schmidt/descent/{dA}x{dB}")
     n = dims.total
-    q, _ = np.linalg.qr(rng.normal(size=(n, n - 3)) + 1j * rng.normal(size=(n, n - 3)))
-    p = q @ q.conj().T
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    p = u[:, :n - 3] @ u[:, :n - 3].conj().T
+    form = (1.0, u[:, n - 3:], np.zeros(3))  # P = I - S S†, S the last three columns
     starts = random_sr_amplitudes([rng_for(17, f"descent/{i}") for i in range(12)], dims, r)
-    rows = _overlap_descent(p, starts, dims, r)
+    rows = _overlap_descent(form, starts, dims, r)
     for i in range(len(starts)):
-        assert np.array_equal(_overlap_descent(p, starts[i:i + 1], dims, r), rows[i:i + 1])
+        assert np.array_equal(_overlap_descent(form, starts[i:i + 1], dims, r), rows[i:i + 1])
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
     for row in rows:
         assert schmidt_rank(PureState(row, dims)) <= r
@@ -599,23 +636,23 @@ def test_witness_from_lambda():
 def test_seesaw_rows_match_single_row_calls(dA, dB, r):
     # All starts descend together as rows of one stack; every row must give
     # the same bits as a call on that row alone, however early it freezes.
-    from schmlab.schmidt import _seesaw_min_overlap, _schmidt_factors
+    from schmlab.schmidt import _factored, _seesaw_min_overlap, _schmidt_factors
 
     dims = BipartiteDims(dA, dB)
     rng = rng_for(14, f"schmidt/seesaw/{dA}x{dB}")
     n = dims.total
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    p4 = (g @ g.conj().T).reshape(dA, dB, dA, dB)
+    form = _factored(g @ g.conj().T, r, dims)
     cold = rng.normal(size=(4, dB, r)) + 1j * rng.normal(size=(4, dB, r))
     # Restarting from a converged row's own B frame settles within two sweeps.
-    _, settled = _seesaw_min_overlap(p4, dims, r, cold[:2], 80)
+    _, settled = _seesaw_min_overlap(form, dims, cold[:2], 80)
     warm = _schmidt_factors(settled.reshape(-1, dA, dB), r)[1].transpose(0, 2, 1)
     frames = np.concatenate([cold[:2], warm, cold[2:]])
 
     def run_rows(sweeps):
-        values, phis = _seesaw_min_overlap(p4, dims, r, frames, sweeps)
+        values, phis = _seesaw_min_overlap(form, dims, frames, sweeps)
         for row in range(len(frames)):
-            alone = _seesaw_min_overlap(p4, dims, r, frames[row:row + 1], sweeps)
+            alone = _seesaw_min_overlap(form, dims, frames[row:row + 1], sweeps)
             assert np.array_equal(alone[0], values[row:row + 1])
             assert np.array_equal(alone[1], phis[row:row + 1])
         return values, phis

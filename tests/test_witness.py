@@ -105,6 +105,17 @@ def test_min_overlap_sr_reaches_grid_minimum_above_16():
     assert schmidt_rank(phi) == 1
 
 
+@pytest.mark.parametrize("search", [min_overlap_sr, min_overlap_grid])
+def test_overlap_searches_refuse_bad_operators_and_ranks(search):
+    # Both public searches share one boundary check: a rank bound below 1
+    # or an operator whose shape does not match dims is refused.
+    dims = BipartiteDims(3, 3)
+    with pytest.raises(ValidationError, match="rank bound"):
+        search(np.eye(9), 0, dims)
+    with pytest.raises(ValidationError, match="does not match dims"):
+        search(np.eye(8), 1, dims)
+
+
 @pytest.mark.parametrize("restarts", [0, -3])
 def test_min_overlap_sr_refuses_empty_search(restarts):
     dims = BipartiteDims(3, 3)
@@ -150,7 +161,7 @@ def test_build_witness_pure_delta_is_closed_form(dA, dB, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a pure delta ran the overlap search")
 
-    monkeypatch.setattr(schmidt, "min_overlap_sr", no_search)
+    monkeypatch.setattr(schmidt, "_minimize_overlap", no_search)
     dims = BipartiteDims(dA, dB)
     for k in range(2, dims.min_dim + 1):
         psi = random_sr_pure_state(rng_for(k, f"witness/pure/{dA}x{dB}"), dims, dims.min_dim)
@@ -161,6 +172,10 @@ def test_build_witness_pure_delta_is_closed_form(dA, dB, monkeypatch):
         phi = w.recipe["argmin"]
         assert schmidt_rank(PureState(phi, dims)) == k - 1
         assert np.vdot(phi, w.recipe["P"] @ phi).real == pytest.approx(eps, abs=1e-12)
+    # The patch sits on the search path: a mixed delta reaches it.
+    mixed = random_density_matrix(rng_for(2, f"witness/mixed/{dA}x{dB}"), dims, rank=2)
+    with pytest.raises(AssertionError, match="ran the overlap search"):
+        build_witness(mixed, 2, seed=0)
 
 
 @pytest.mark.parametrize("sr, k", [(1, 2), (2, 3), (2, 4)])
