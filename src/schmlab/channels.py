@@ -139,8 +139,9 @@ def choi_to_kraus(choi: DensityMatrix,
 
     Eigenvectors of the Choi matrix are unvectorized against the reference
     state: V = sqrt(mu) U conj(B) diag(1/s) A† where psi_ref has Schmidt
-    data (s, A, B).  The list length equals the Choi rank, counted at
-    `linalg.RANK_CUTOFF`.
+    data (s, A, B).  The eigenvectors are the support columns of
+    `linalg.support_kernel`, so the list length equals the Choi rank,
+    counted at `linalg.RANK_CUTOFF`.
     """
     dim_out, dim_in = choi.dims.dimA, choi.dims.dimB
     if psi_ref is None:
@@ -156,12 +157,9 @@ def choi_to_kraus(choi: DensityMatrix,
         )
 
     unmix = data.right.conj() @ np.diag(1.0 / data.coefficients) @ data.left.conj().T
-    vals, vecs = linalg.eigh(choi.matrix)
-    rank = int(np.count_nonzero(vals >= linalg.RANK_CUTOFF * vals[0]))
-    kraus = []
-    for i in range(rank):
-        u = vecs[:, i].reshape(dim_out, dim_in)
-        kraus.append(np.sqrt(vals[i]) * u @ unmix)
+    support, vals, _ = linalg.support_kernel(choi.matrix)
+    kraus = [np.sqrt(v) * u.reshape(dim_out, dim_in) @ unmix
+             for v, u in zip(vals, support.T)]
     total = sum(v.conj().T @ v for v in kraus)
     deviation = np.linalg.norm(total - np.eye(dim_in))
     if deviation > TP_TOL:

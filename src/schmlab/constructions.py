@@ -41,6 +41,9 @@ FAMILY_RETRIES = 100
 # one ensemble member per point.
 MAX_GRID_POINTS = 4096
 
+# Width of the fidelity bracket at which `isotropic_threshold` stops.
+THRESHOLD_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class FourierVector:
@@ -225,11 +228,12 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
                          BipartiteDims(d, d))
 
 
-def isotropic_threshold(d: int, k: int, f_tol: float = 1e-3) -> float:
+def isotropic_threshold(d: int, k: int) -> float:
     """Fidelity where the Lambda-map lower bound first exceeds k (bisection).
 
     The exact crossing for this family is F = k/d; the bisection reads it
-    off the implemented bound rather than the closed form.
+    off the implemented bound rather than the closed form, and stops once
+    its bracket is at most THRESHOLD_TOL wide.
     """
     if not 1 <= k < d:
         raise ValidationError(f"threshold defined for 1 <= k < d, got k={k}, d={d}")
@@ -241,7 +245,7 @@ def isotropic_threshold(d: int, k: int, f_tol: float = 1e-3) -> float:
     lo, hi = 0.0, 1.0
     if not detected(hi):
         raise ValidationError(f"no detection at F=1 for k={k}, d={d}")
-    while hi - lo > f_tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if detected(mid):
             hi = mid
@@ -260,33 +264,32 @@ def rotation_erosion_sweep(m: int, grids: Sequence[int], decay: float = PROFILE_
     weight.  On the full circle the grid state is the exact group average
     from N = 4m+1 points on, so the rows stop changing there; the finite
     fingerprint of the continuum state's immunity to such subtractions is
-    the weight eroding as the mode cutoff m grows, not as N grows.
+    the weight eroding as the mode cutoff m grows, not as N grows.  A
+    negative `samples` is refused before any state is built.
     """
+    if samples < 0:
+        raise ValidationError(f"sample count must be >= 0, got {samples}")
     phi = fourier_profile(m, decay)
     rows = []
     # The list validates every grid before the first state is built.
     for grid in [RotationGrid(points=n_points) for n_points in grids]:
         state = build_rotation_state(phi, phi, grid)
         # One spectral split serves the search and the member weights.
-        spectral = linalg.support_kernel(state.matrix)
-        weights, phis, scaled = schmidt._subtractable_candidates(
+        spectral = linalg.support_kernel(state.matrix)[:2]
+        _, admitted = schmidt._subtractable_candidates(
             state.matrix, spectral, state.dims, 1, samples,
             derive_seed(seed, f"erosion/{grid.points}"),
         )
         # Only the heaviest weight that holds the eigenvalue floor is needed,
-        # so the floor checks stop there.
-        best = schmidt._heaviest_within_floor(scaled, weights, phis[:, :, None])
-        lam = float(weights[best]) if best >= 0 else 0.0
-        # The generating members are themselves subtractable product states;
-        # the optimizer must do at least that well.
+        # so each walk stops there.  The generating members are themselves
+        # subtractable product states; the optimizer must do at least that well.
+        lam = next(admitted, (0.0,))[0]
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
-        member_weights = schmidt._unchecked_weights(spectral, members)
-        best = schmidt._heaviest_within_floor(state.matrix, member_weights, members)
-        member_best = member_weights[best] if best >= 0 else 0.0
+        member_best = next(schmidt._admitted(state.matrix, spectral, members), (0.0,))[0]
         rows.append({
             "grid": int(grid.points),
-            "max_subtraction": float(max(lam, member_best)),
+            "max_subtraction": max(lam, member_best),
             "optimized": lam,
-            "member_best": float(member_best),
+            "member_best": member_best,
         })
     return rows

@@ -154,12 +154,16 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+def relative_rank(values: np.ndarray) -> int:
+    """How many descending `values` are >= RANK_CUTOFF * the largest; 0 if none is positive."""
+    if values.size == 0 or values[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(values >= RANK_CUTOFF * values[0]))
+
+
 def matrix_rank(m) -> int:
     """Numerical rank: singular values >= RANK_CUTOFF * largest."""
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s >= RANK_CUTOFF * s[0]))
+    return relative_rank(np.linalg.svd(as_matrix(m), compute_uv=False))
 
 
 def support_kernel(m):
@@ -172,5 +176,5 @@ def support_kernel(m):
     vals, vecs = eigh(m)
     if vals[0] <= 0.0:
         raise ValidationError("operator is numerically zero")
-    rank = int(np.count_nonzero(vals >= RANK_CUTOFF * vals[0]))
+    rank = relative_rank(vals)
     return vecs[:, :rank], vals[:rank], vecs[:, rank:]

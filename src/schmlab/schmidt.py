@@ -754,18 +754,20 @@ def witness_from_lambda(omega: DensityMatrix) -> Optional[WitnessOperator]:
 # Subtraction and the edge decomposition
 # ---------------------------------------------------------------------------
 
-def _unchecked_weights(spectral: tuple[np.ndarray, ...], factors: np.ndarray) -> np.ndarray:
+def _unchecked_weights(spectral: tuple[np.ndarray, np.ndarray],
+                       factors: np.ndarray) -> np.ndarray:
     """Largest lam >= 0 with ``matrix - lam F F†`` PSD on paper, for each F of a stack.
 
-    `factors` is an (n, total, m) stack and `spectral` is
-    ``(support, values, kernel)`` of the matrix.  A factor whose mass
-    outside the support exceeds `linalg.RANK_CUTOFF` of its total gets 0.
-    Otherwise lam is 1 / lambda_max(F† matrix^+ F), which for a unit vector
-    phi is 1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261
-    (1998)); one batched `eigvalsh` serves the whole stack.  No weight is
-    checked against the exact eigenvalue floor yet: see `_floor_holds`.
+    `factors` is an (n, total, m) stack and `spectral` is ``(support,
+    values)`` of the matrix: orthonormal support columns and their
+    eigenvalues.  A factor whose mass outside the support exceeds
+    `linalg.RANK_CUTOFF` of its total gets 0.  Otherwise lam is
+    1 / lambda_max(F† matrix^+ F), which for a unit vector phi is
+    1/<phi|matrix^+|phi> (Lewenstein & Sanpera, PRL 80, 2261 (1998)); one
+    batched `eigvalsh` serves the whole stack.  No weight is checked
+    against the exact eigenvalue floor yet: see `_floor_holds`.
     """
-    support, vals, _ = spectral
+    support, vals = spectral
     inside = support.conj().T @ factors
     mass = np.sum(np.abs(factors) ** 2, axis=(1, 2))
     leak = mass - np.sum(np.abs(inside) ** 2, axis=(1, 2))
@@ -780,7 +782,7 @@ def _floor_holds(matrix: np.ndarray, weight: float, factor: np.ndarray) -> bool:
     return not linalg.min_eigenvalue(matrix - weight * (factor @ factor.conj().T)) < -CERT_MARGIN
 
 
-def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
+def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, np.ndarray],
                          factors: np.ndarray) -> np.ndarray:
     """Largest lam >= 0 with ``matrix - lam F F†`` PSD, for each F of a stack.
 
@@ -795,21 +797,22 @@ def _subtraction_weights(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
     return weights
 
 
-def _heaviest_within_floor(matrix: np.ndarray, weights: np.ndarray,
-                           factors: np.ndarray) -> int:
-    """Index of the heaviest F of a stack whose unchecked weight keeps the floor.
+def _admitted(matrix: np.ndarray, spectral: tuple[np.ndarray, np.ndarray],
+              factors: np.ndarray):
+    """Yield ``(weight, index)`` for each F of a stack whose weight holds the floor.
 
-    Walks the positive `weights` heaviest first, the lowest index first
-    among equal ones, and floor-checks each (`_floor_holds`) until one
-    holds; the rows after it are never checked.  So the result is the first
-    maximum of ``_subtraction_weights(matrix, spectral, factors)``, or -1
-    when every positive weight fails or none is positive.
+    One `_unchecked_weights` call weighs the stack.  The positive weights
+    are walked heaviest first, the lowest index first among equal ones, and
+    each is floor-checked (`_floor_holds`) only when the caller asks for the
+    next admitted row, so a caller that stops early checks nothing lighter.
+    The rows yielded are those `_subtraction_weights` keeps, in that order:
+    the first is its first maximum.
     """
+    weights = _unchecked_weights(spectral, factors)
     order = np.argsort(-weights, kind="stable")
     for i in order[weights[order] > 0.0]:
         if _floor_holds(matrix, weights[i], factors[i]):
-            return int(i)
-    return -1
+            yield float(weights[i]), int(i)
 
 
 def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -822,22 +825,21 @@ def max_subtraction(omega: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if omega.dims != sigma.dims:
         raise ValidationError("omega and sigma must share dims")
-    spectral = linalg.support_kernel(omega.matrix)
+    spectral = linalg.support_kernel(omega.matrix)[:2]
     return float(_subtraction_weights(omega.matrix, spectral, _eigen_factor(sigma)[None])[0])
 
 
-def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...],
-                             dims: BipartiteDims, r: int, restarts: int,
-                             seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt rank <= r states with positive subtraction weight.
+def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, np.ndarray],
+                             dims: BipartiteDims, r: int, restarts: int, seed: int):
+    """Schmidt rank <= r states and the walk of those subtractable from `matrix`.
 
     The weight of phi is tr / <phi|omega^+|phi> and is nonzero only for phi
-    inside the support of omega.  `spectral` is ``(support, values,
-    kernel)``: ``linalg.support_kernel(matrix)``, or in the edge loop the
-    round's split inside omega's support, whose kernel also holds omega's.
-    The starts are truncated support eigenvectors plus random support
-    vectors.  Both searches run `_minimize_overlap` on a form over the
-    support S.  On a rank-deficient support the feasible set is thin: its
+    inside the support of omega.  `spectral` is ``(support, values)``:
+    the first two parts of ``linalg.support_kernel(matrix)``, or in the edge
+    loop the round's split inside omega's support.  The starts are
+    truncated support eigenvectors plus random support vectors.  Both
+    searches run `_minimize_overlap` on a form over the support S.  When S
+    has fewer than ``dims.total`` columns the feasible set is thin: its
     points are the zeros of <phi|P_K|phi>, with P_K = I - S S† the kernel
     projector, the form ``(1, S, 0)``.  So every start runs the witness's
     descent and seesaw on P_K, and rows that end at a kernel mass of at
@@ -846,16 +848,13 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     the support is amplified quadratically, hence the hard floor.  On a
     full support feasibility is free and the seesaw alone minimizes the
     normalized pseudo-inverse ``(0, S, min(vals) / vals)`` to pick heavy
-    candidates instead.  Every row is weighed by one `_unchecked_weights`
-    call against ``scaled = matrix / tr``, with tr the trace of `matrix`.
-    Returns ``(weights, rows, scaled)`` with the positive-weight rows
-    heaviest first; rows may repeat, and a caller that keeps several
-    deduplicates them by overlap.
-    The weights are not yet floor-checked: a caller admits a row only once
-    `_floor_holds` passes it against `scaled`, and one that needs only the
-    heaviest admissible row walks them with `_heaviest_within_floor`.
+    candidates instead.  Returns ``(rows, admitted)``: the candidate rows,
+    which may repeat (a caller that keeps several deduplicates them by
+    overlap), and their `_admitted` walk against ``matrix / tr``, with tr
+    the trace of `matrix`, which yields ``(weight, index into rows)``
+    heaviest first for the rows that hold the eigenvalue floor.
     """
-    support, vals, kernel = spectral
+    support, vals = spectral
     tr = float(np.trace(matrix).real)
     rank = support.shape[1]
 
@@ -868,17 +867,12 @@ def _subtractable_candidates(matrix: np.ndarray, spectral: tuple[np.ndarray, ...
     a, bh = _schmidt_factors(np.reshape(starts, (-1, dims.dimA, dims.dimB)), r)
     truncated = a @ bh
     truncated /= np.linalg.norm(truncated, axis=(1, 2), keepdims=True)
-    thin = kernel.shape[1] > 0
+    thin = rank < dims.total
     form = (1.0, support, np.zeros(rank)) if thin else (0.0, support, vals[-1] / vals)
     values, phis = _minimize_overlap(form, truncated.reshape(len(starts), -1), dims, r, thin)
     if thin:
         phis = phis[values <= 1e-13]
-    weights = _unchecked_weights((support, vals / tr, kernel), phis[:, :, None])
-
-    # A stable sort: equal weights keep restart order.
-    order = np.argsort(-weights, kind="stable")
-    order = order[weights[order] > 0.0]
-    return weights[order], phis[order], matrix / tr
+    return phis, _admitted(matrix / tr, (support, vals / tr), phis[:, :, None])
 
 
 def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
@@ -945,14 +939,19 @@ def _packing_weights(matrix: np.ndarray, support: np.ndarray, pool: np.ndarray,
 
 def max_subtractable(omega: DensityMatrix, r: int, restarts: int = 64,
                      seed: int = 0) -> tuple[float, Optional[PureState]]:
-    """Largest weight of any Schmidt rank <= r pure state under omega."""
-    spectral = linalg.support_kernel(omega.matrix)
-    weights, phis, scaled = _subtractable_candidates(omega.matrix, spectral, omega.dims, r,
-                                                     restarts, seed)
-    best = _heaviest_within_floor(scaled, weights, phis[:, :, None])
-    if best < 0:
-        return 0.0, None
-    return float(weights[best]), PureState(phis[best], omega.dims)
+    """Largest weight of any Schmidt rank <= r pure state under omega.
+
+    A rank bound below 1 or a negative restart count is refused.
+    """
+    if r < 1:
+        raise ValidationError(f"rank bound must be >= 1, got {r}")
+    if restarts < 0:
+        raise ValidationError(f"restart count must be >= 0, got {restarts}")
+    phis, admitted = _subtractable_candidates(
+        omega.matrix, linalg.support_kernel(omega.matrix)[:2], omega.dims, r, restarts, seed)
+    for lam, best in admitted:
+        return lam, PureState(phis[best], omega.dims)
+    return 0.0, None
 
 
 @dataclass(frozen=True)
@@ -989,14 +988,15 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
     subtractable Schmidt rank <= k-1 pure states and removes half of the
     best candidate's maximal weight.  omega's support S is split off once
     per call; each round splits the remainder inside it, from the
-    eigendecomposition of ``S† R S``, so the round's kernel holds omega's
-    and every candidate lies inside omega's support.  Late-round
-    remainders are small, so a relative rank cutoff on the remainder alone
-    could admit directions that are absolutely negligible in omega, and a
-    pool member leaking into them would poison the packing remainder once
-    subtracted with full weight.  Candidates arrive weighed and sorted but
-    not yet floor-checked; the round checks each one and admits every one
-    that holds the floor to a pool: because greedy weight choices
+    eigendecomposition of ``S† R S``, and hands the search that split as
+    its support pair, so every candidate lies inside omega's support.
+    Late-round remainders are small, so a relative rank cutoff on the
+    remainder alone could admit directions that are absolutely negligible
+    in omega, and a pool member leaking into them would poison the packing
+    remainder once subtracted with full weight.  The round walks the
+    search's `_admitted` candidates to the end, heaviest first, so every
+    one that holds the eigenvalue floor joins a pool and the first sets the
+    round's weight: because greedy weight choices
     along overlapping candidates strand removable mass, whenever a round
     finds nothing above 1e-6 the pool weights are reallocated exactly by a
     small packing program on omega's support, whose barrier runs toward
@@ -1015,7 +1015,7 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
         return EdgeDecomposition(p=0.0, within=omega, edge=None,
                                  removed=omega.ensemble, rounds=0)
 
-    omega_support, _, omega_kernel = linalg.support_kernel(omega.matrix)
+    omega_support = linalg.support_kernel(omega.matrix)[0]
     if omega_support.shape[1] == 1 and schmidt_rank(
             PureState.normalized(omega_support[:, 0], omega.dims)) > r:
         return EdgeDecomposition(p=1.0, within=None, edge=omega, removed=(), rounds=0)
@@ -1036,18 +1036,15 @@ def edge_decompose(omega: DensityMatrix, k: int, budget: int = 500,
         remainder = omega.matrix - (pool.T * weights) @ pool.conj()
         trace_left = float(np.trace(remainder).real)
         rounds += 1
-        inner, vals, rest = linalg.support_kernel(
+        inner, vals, _ = linalg.support_kernel(
             omega_support.conj().T @ remainder @ omega_support)
-        spectral = (omega_support @ inner, vals,
-                    np.hstack([omega_kernel, omega_support @ rest]))
-        lams, phis, scaled = _subtractable_candidates(
-            remainder, spectral, omega.dims, r, restarts_per_round,
+        phis, admitted = _subtractable_candidates(
+            remainder, (omega_support @ inner, vals), omega.dims, r, restarts_per_round,
             derive_seed(seed, f"edge/round/{rounds}"),
         )
         best_lam, best_index = 0.0, -1  # the heaviest candidate comes first
-        for lam, phi in zip(lams, phis):
-            if not _floor_holds(scaled, lam, phi[:, None]):
-                continue
+        for lam, i in admitted:
+            phi = phis[i]
             matches = np.flatnonzero(np.abs(pool.conj() @ phi) > 0.999)
             index = int(matches[0]) if matches.size else len(pool)
             if index == len(pool):

@@ -183,10 +183,7 @@ def schmidt_decompose(psi: PureState) -> SchmidtData:
 
 def schmidt_rank(psi: PureState) -> int:
     """Number of Schmidt coefficients >= linalg.RANK_CUTOFF * largest."""
-    c = psi.schmidt.coefficients
-    if c.size == 0 or c[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(c >= linalg.RANK_CUTOFF * c[0]))
+    return linalg.relative_rank(psi.schmidt.coefficients)
 
 
 def maximally_entangled(d: int) -> PureState:

@@ -262,7 +262,7 @@ def test_criterion_8_isotropic_threshold():
     details = []
     ok = True
     for k in (1, 2):
-        found = isotropic_threshold(3, k, f_tol=1e-3)
+        found = isotropic_threshold(3, k)
         # Closed-form oracle: (Id ⊗ Lambda_t) has spectrum 1/d - tF and
         # 1/d - t(1-F)/(d^2-1); bisect its sign change at t = 1/k.
         lo, hi = 0.0, 1.0

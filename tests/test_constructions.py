@@ -145,11 +145,12 @@ def test_erosion_sweep_matches_checking_every_row(monkeypatch):
     expected, bound = [], 0
     for n in grids:
         state = build_rotation_state(phi, phi, RotationGrid(points=n))
-        support, vals, kernel = spectral = linalg.support_kernel(state.matrix)
-        weights, rows, scaled = schmidt._subtractable_candidates(
+        support, vals = spectral = linalg.support_kernel(state.matrix)[:2]
+        rows, _ = schmidt._subtractable_candidates(
             state.matrix, spectral, state.dims, 1, samples, derive_seed(seed, f"erosion/{n}"))
         tr = float(np.trace(state.matrix).real)
-        every = schmidt._subtraction_weights(scaled, (support, vals / tr, kernel),
+        weights = schmidt._unchecked_weights((support, vals / tr), rows[:, :, None])
+        every = schmidt._subtraction_weights(state.matrix / tr, (support, vals / tr),
                                              rows[:, :, None])
         members = np.stack([psi.amplitudes for _, psi in state.ensemble])[:, :, None]
         member_every = schmidt._subtraction_weights(state.matrix, spectral, members)
@@ -161,6 +162,17 @@ def test_erosion_sweep_matches_checking_every_row(monkeypatch):
     checked = counted_floor_checks(monkeypatch)
     assert rotation_erosion_sweep(3, grids, samples=samples, seed=seed) == expected
     assert len(checked) <= bound
+
+
+def test_erosion_sweep_refuses_negative_samples_before_any_work(monkeypatch):
+    from schmlab import constructions
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(constructions, "build_rotation_state", no_work)
+    with pytest.raises(ValidationError, match="sample count must be >= 0"):
+        rotation_erosion_sweep(3, [13], samples=-1)
 
 
 def test_sn_k_state_single_point_is_seed():
@@ -281,7 +293,7 @@ def isotropic_lambda_min(d, fidelity, t):
 def test_isotropic_threshold_matches_closed_form():
     d = 3
     for k in (1, 2):
-        found = isotropic_threshold(d, k, f_tol=1e-3)
+        found = isotropic_threshold(d, k)
         assert abs(found - k / d) <= 0.01
         # Oracle: bisection of the closed-form minimum eigenvalue.
         lo, hi = 0.0, 1.0

@@ -11,6 +11,7 @@ from schmlab.linalg import (
     matrix_rank,
     min_eigenvalue,
     partial_trace,
+    relative_rank,
     svd,
     trace_distance,
 )
@@ -202,6 +203,12 @@ def test_min_eigenvalue_scaled_state():
 def test_matrix_rank_cutoff():
     assert matrix_rank(np.diag([1.0, 1e-5, 1e-12])) == 2
     assert matrix_rank(np.zeros((3, 3))) == 0
+
+
+def test_relative_rank_counts_at_the_cutoff_of_the_largest():
+    assert relative_rank(np.array([2.0, 2e-8, 1.9e-8, 0.0])) == 2
+    assert relative_rank(np.array([0.0, 0.0])) == 0
+    assert relative_rank(np.zeros(0)) == 0
 
 
 def test_trace_distance():

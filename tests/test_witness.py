@@ -245,19 +245,19 @@ def test_max_subtraction_keeps_psd():
 
 
 def weights_setup():
-    """A rank-5 3x3 state, its split, omega^+ and five unit rows in its support."""
+    """A rank-5 3x3 state, its support pair and kernel, omega^+ and five unit rows in its support."""
     omega = random_density_matrix(rng_for(0, "witness/weights"), BipartiteDims(3, 3), rank=5)
-    spectral = support_kernel(omega.matrix)
+    support, vals, kernel = support_kernel(omega.matrix)
     rng = rng_for(1, "witness/weights")
-    rows = spectral[0] @ (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    rows = support @ (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     rows = (rows / np.linalg.norm(rows, axis=0)).T
     pinv = np.linalg.pinv(omega.matrix, rcond=1e-8, hermitian=True)
-    return omega, spectral, pinv, rows
+    return omega, (support, vals), kernel, pinv, rows
 
 
 def test_subtraction_weights_in_support_rows():
     # A unit row inside the support weighs 1/<phi|omega^+|phi>.
-    omega, spectral, pinv, rows = weights_setup()
+    omega, spectral, _, pinv, rows = weights_setup()
     weights = schmidt._subtraction_weights(omega.matrix, spectral, rows[:, :, None])
     expected = 1.0 / np.einsum("ij,jk,ik->i", rows.conj(), pinv, rows).real
     assert np.all(weights > 0)
@@ -265,8 +265,8 @@ def test_subtraction_weights_in_support_rows():
 
 
 def test_subtraction_weights_leaking_row_is_zero():
-    omega, spectral, _, rows = weights_setup()
-    leaky = rows[0] + 1e-3 * spectral[2][:, 0]
+    omega, spectral, kernel, _, rows = weights_setup()
+    leaky = rows[0] + 1e-3 * kernel[:, 0]
     leaky /= np.linalg.norm(leaky)
     weights = schmidt._subtraction_weights(
         omega.matrix, spectral, np.stack([rows[0], leaky])[:, :, None])
@@ -278,9 +278,9 @@ def test_subtraction_weights_failed_floor_is_zero_not_shaved():
     # full weight leaves a remainder below the exact floor.  Shaving the
     # weight by half a percent would pass the floor; the kernel refuses the
     # row instead.
-    omega, spectral, pinv, rows = weights_setup()
+    omega, spectral, kernel, pinv, rows = weights_setup()
     eps = 1e-11
-    phi = np.sqrt(1 - eps) * rows[0] + np.sqrt(eps) * spectral[2][:, 0]
+    phi = np.sqrt(1 - eps) * rows[0] + np.sqrt(eps) * kernel[:, 0]
     full = 1.0 / np.vdot(phi, pinv @ phi).real
     sigma = np.outer(phi, phi.conj())
     assert min_eigenvalue(omega.matrix - full * sigma) < -schmidt.CERT_MARGIN
@@ -291,8 +291,8 @@ def test_subtraction_weights_failed_floor_is_zero_not_shaved():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_subtraction_weights_stack_matches_one_row_calls(m):
-    omega, spectral, _, rows = weights_setup()
-    leaky = rows[0] + 1e-3 * spectral[2][:, 0]
+    omega, spectral, kernel, _, rows = weights_setup()
+    leaky = rows[0] + 1e-3 * kernel[:, 0]
     stack = np.concatenate([rows, leaky[None] / np.linalg.norm(leaky)])
     # Factor i holds rows i and i-1, so the leaky last row spoils one factor
     # at m = 1 and two at m = 2.
@@ -325,35 +325,62 @@ def heavier_failing(unchecked, checked):
     return int(holds[0]) if holds.size else len(walked)
 
 
-def test_heaviest_within_floor_stops_at_the_first_row_that_holds(monkeypatch):
+def every_row_walk(matrix, spectral, factors):
+    """What `_admitted` must yield, from a floor check of every row."""
+    every = schmidt._subtraction_weights(matrix, spectral, factors)
+    return [(float(every[i]), int(i)) for i in np.argsort(-every, kind="stable")
+            if every[i] > 0]
+
+
+def test_admitted_stops_at_the_first_row_that_holds(monkeypatch):
     # Twice the heaviest weight overshoots the floor: the walk checks that
     # row, then the heaviest true weight, and nothing lighter.
-    omega, spectral, _, rows = weights_setup()
+    omega, spectral, _, _, rows = weights_setup()
     factors = rows[:, :, None]
     weights = schmidt._unchecked_weights(spectral, factors)
     heaviest = int(np.argmax(weights))
     weights = np.append(weights, 2 * weights[heaviest])
     factors = np.concatenate([factors, factors[heaviest:heaviest + 1]])
+    monkeypatch.setattr(schmidt, "_unchecked_weights", lambda spectral, factors: weights)
     checked = counted_floor_checks(monkeypatch)
-    assert schmidt._heaviest_within_floor(omega.matrix, weights, factors) == heaviest
+    walk = schmidt._admitted(omega.matrix, spectral, factors)
+    assert next(walk) == (weights[heaviest], heaviest)
     assert checked == [weights[-1], weights[heaviest]]
     # When every positive weight overshoots, each is checked once, a zero
-    # weight never, and no row wins.
+    # weight never, and no row is admitted.
     overshoot = 2 * weights[:5]
     overshoot[0] = 0.0
+    monkeypatch.setattr(schmidt, "_unchecked_weights", lambda spectral, factors: overshoot)
     del checked[:]
-    assert schmidt._heaviest_within_floor(omega.matrix, overshoot, factors[:5]) == -1
+    assert list(schmidt._admitted(omega.matrix, spectral, factors[:5])) == []
     assert sorted(checked) == sorted(overshoot[1:])
+
+
+def test_admitted_yields_every_row_that_holds_heaviest_first():
+    # Row 5 repeats row 1, row 6 leaks 1e-3 out of the support (weight 0)
+    # and row 7 leaks 1e-11, which keeps a weight but fails the floor.  The
+    # walk admits rows 0-5 heaviest first, row 1 before its repeat.
+    omega, spectral, kernel, _, rows = weights_setup()
+    leaky = rows[0] + 1e-3 * kernel[:, 0]
+    failing = np.sqrt(1 - 1e-11) * rows[0] + np.sqrt(1e-11) * kernel[:, 0]
+    factors = np.concatenate([rows, rows[1:2], leaky[None] / np.linalg.norm(leaky),
+                              failing[None]])[:, :, None]
+    walk = list(schmidt._admitted(omega.matrix, spectral, factors))
+    assert walk == every_row_walk(omega.matrix, spectral, factors)
+    assert sorted(i for _, i in walk) == [0, 1, 2, 3, 4, 5]
+    assert [w for w, _ in walk] == sorted((w for w, _ in walk), reverse=True)
+    assert [i for _, i in walk if i in (1, 5)] == [1, 5]
 
 
 @pytest.mark.parametrize("r, restarts", [(1, 48), (2, 24)])
 def test_max_subtractable_matches_checking_every_row(monkeypatch, r, restarts):
     mix = random_sr_mixture(rng_for(7, "witness/best"), BipartiteDims(3, 3), r, 4)
-    support, vals, kernel = spectral = support_kernel(mix.matrix)
-    weights, phis, scaled = schmidt._subtractable_candidates(mix.matrix, spectral, mix.dims,
-                                                             r, restarts, 0)
+    support, vals = spectral = support_kernel(mix.matrix)[:2]
+    phis, _ = schmidt._subtractable_candidates(mix.matrix, spectral, mix.dims, r, restarts, 0)
     tr = float(np.trace(mix.matrix).real)
-    every = schmidt._subtraction_weights(scaled, (support, vals / tr, kernel), phis[:, :, None])
+    scaled = (support, vals / tr)
+    weights = schmidt._unchecked_weights(scaled, phis[:, :, None])
+    every = schmidt._subtraction_weights(mix.matrix / tr, scaled, phis[:, :, None])
     best = int(np.argmax(every))  # first maximum
     assert every[best] > 0
     checked = counted_floor_checks(monkeypatch)
@@ -361,6 +388,46 @@ def test_max_subtractable_matches_checking_every_row(monkeypatch, r, restarts):
     assert lam == every[best]
     assert np.array_equal(phi.amplitudes, phis[best])
     assert len(checked) <= heavier_failing(weights, every) + 1
+
+
+@pytest.mark.parametrize("search", [
+    lambda omega: max_subtractable(omega, r=0),
+    lambda omega: max_subtractable(omega, r=-1),
+    lambda omega: max_subtractable(omega, r=1, restarts=-1),
+], ids=["r0", "r-1", "restarts-1"])
+def test_max_subtractable_refuses_bad_sizes_before_any_work(monkeypatch, search):
+    # r = 0 once died in numpy's SVD, r = -1 ran a rank-2 search through a
+    # [:-1] slice, and a negative restart count ran as 0.
+    from schmlab import linalg
+
+    omega = random_sr_mixture(rng_for(0, "x"), BipartiteDims(3, 3), 1, 4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(linalg, "support_kernel", no_work)
+    with pytest.raises(ValidationError, match="must be >= "):
+        search(omega)
+
+
+@pytest.mark.parametrize("rank", [4, 8, 9])
+def test_subtractable_candidates_thin_exactly_below_full_support(monkeypatch, rank):
+    # The kernel form (c = 1) and its descent run exactly when the support
+    # has fewer than dims.total columns; a full support takes the
+    # pseudo-inverse form (c = 0) and the seesaw alone.
+    omega = random_density_matrix(rng_for(2, "witness/thin"), BipartiteDims(3, 3), rank=rank)
+    spectral = support_kernel(omega.matrix)[:2]
+    assert spectral[0].shape[1] == rank
+    seen = []
+    minimize = schmidt._minimize_overlap
+
+    def recording(form, starts, dims, r, descend):
+        seen.append((form[0], descend))
+        return minimize(form, starts, dims, r, descend)
+
+    monkeypatch.setattr(schmidt, "_minimize_overlap", recording)
+    schmidt._subtractable_candidates(omega.matrix, spectral, omega.dims, 1, 8, 0)
+    assert seen == ([(1.0, True)] if rank < 9 else [(0.0, False)])
 
 
 def test_max_subtractable_finds_members():
@@ -426,6 +493,33 @@ def test_edge_decompose_admits_only_candidates_that_hold_the_floor(monkeypatch):
     dec = edge_decompose(omega, k=2, budget=24, seed=0)
     assert (dec.p, dec.rounds, dec.removed) == (1.0, 1, ())
     assert checked
+
+
+def test_edge_decompose_admits_the_pool_of_checking_every_candidate(monkeypatch):
+    # Each round admits exactly the candidates that an every-row floor check
+    # keeps, heaviest first, and the split is that of an unwatched run.
+    omega = isotropic_state(3, 0.9)
+    plain = edge_decompose(omega, k=2, budget=24, seed=0)
+    search = schmidt._subtractable_candidates
+    rounds = []
+
+    def watched(matrix, spectral, dims, r, restarts, seed):
+        phis, admitted = search(matrix, spectral, dims, r, restarts, seed)
+        tr = float(np.trace(matrix).real)
+        expected = every_row_walk(matrix / tr, (spectral[0], spectral[1] / tr),
+                                  phis[:, :, None])
+        walk = list(admitted)
+        rounds.append((walk, expected))
+        return phis, iter(walk)
+
+    monkeypatch.setattr(schmidt, "_subtractable_candidates", watched)
+    dec = edge_decompose(omega, k=2, budget=24, seed=0)
+    assert len(rounds) == dec.rounds == plain.rounds and dec.p == plain.p
+    assert [psi.amplitudes.tobytes() for _, psi in dec.removed] == \
+        [psi.amplitudes.tobytes() for _, psi in plain.removed]
+    assert any(walk for walk, _ in rounds)
+    for walk, expected in rounds:
+        assert walk == expected
 
 
 def test_edge_decompose_falls_back_when_the_remix_fails():
